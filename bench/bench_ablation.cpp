@@ -16,11 +16,10 @@
 //      within noise of direct everywhere);
 //   6. TRSVD backends on the huge-mode regime where Table IV says TRSVD
 //      dominates: scalar Lanczos (bandwidth-bound gemv per step) vs the
-//      gemm-rich blocked backends (block Lanczos, randomized subspace
-//      iteration) vs Gram, and what TrsvdMethod::kAuto resolves
-//      (perf-trajectory entry: a blocked backend must beat scalar Lanczos
-//      on the huge mode, kAuto must match the winner there and stay on
-//      Lanczos for small modes);
+//      gemm-rich randomized subspace iteration vs Gram, and what
+//      TrsvdMethod::kAuto resolves (perf-trajectory entry: randomized must
+//      beat scalar Lanczos on the huge mode, kAuto must match the winner
+//      there and stay on Lanczos for small modes);
 //   7. CSF-tree TTMc against the flat-index kernels across prefix-sharing
 //      regimes (perf-trajectory entry: CSF must beat the best flat kernel
 //      on prefix-heavy tensors and kAuto must stay within noise of the
@@ -571,8 +570,7 @@ void trsvd_backend_ablation(bool smoke, htb::JsonReport& report) {
 
     std::vector<Backend> backends = {
         {core::TrsvdMethod::kLanczos}, {core::TrsvdMethod::kGram},
-        {core::TrsvdMethod::kBlockLanczos}, {core::TrsvdMethod::kRandomized},
-        {core::TrsvdMethod::kAuto}};
+        {core::TrsvdMethod::kRandomized}, {core::TrsvdMethod::kAuto}};
     la::TrsvdOptions trsvd_opts;
     trsvd_opts.tol = 1e-7;  // the HOOI ALS setting
     for (int rep = 0; rep < reps; ++rep) {
@@ -638,9 +636,7 @@ void model_store_ablation(bool smoke, htb::JsonReport& report) {
   options.ranks = ranks;
   options.max_iterations = 3;
   options.fit_tolerance = 0.0;
-  const core::SymbolicTtmc symbolic = core::SymbolicTtmc::build(x);
-  auto result = core::hooi(x, options, symbolic, nullptr);
-  auto model = core::TuckerModel::from_hooi(x, std::move(result));
+  auto model = core::TuckerModel::from_hooi(x, core::hooi(x, options));
   model.csf =
       std::make_shared<tensor::CsfTensor>(tensor::CsfTensor::build(x));
 
@@ -1003,20 +999,23 @@ int main(int argc, char** argv) {
 
   // ---- 1. symbolic reuse --------------------------------------------------
   std::printf("=== Ablation 1: symbolic TTMc reuse ===\n");
-  // The reusable preprocessing is the symbolic update lists *and* the
-  // dimension-tree plan (both pattern-only); the reuse arms below pass both
-  // to the 4-arg hooi so no per-call plan rebuild pollutes the numbers.
-  WallTimer t_sym;
-  const core::SymbolicTtmc symbolic = core::SymbolicTtmc::build(x);
-  const core::DimTreePlan tree = core::DimTreePlan::build(x);
-  const double sym_s = t_sym.seconds();
-
+  // The reusable preprocessing is every pattern-only structure
+  // (HooiStructures); the reuse arms below pass it to the six-argument hooi
+  // so no per-call rebuild pollutes the numbers.
   core::HooiOptions options;
   options.ranks = ranks;
   options.max_iterations = htb::bench_iters();
   options.fit_tolerance = 0.0;
+  const auto s = core::HooiStructures::build(x, options.ttmc_options());
+  const double sym_s = s.seconds;
+  const core::SymbolicTtmc& symbolic = s.symbolic;
+  const auto reuse = [&](const core::HooiOptions& o) {
+    return core::hooi(x, o, symbolic, s.tree_ptr(), s.csf.get(),
+                      s.alto.get());
+  };
+
   WallTimer t_iters;
-  const auto run = core::hooi(x, options, symbolic, &tree);
+  const auto run = reuse(options);
   const double per_iter = t_iters.seconds() / run.iterations;
   std::printf("symbolic build: %.3fs; numeric iteration: %.3fs "
               "(symbolic pays for itself after %.1f iterations)\n",
@@ -1034,7 +1033,7 @@ int main(int argc, char** argv) {
     core::HooiOptions o = options;
     o.ranks.assign(x.order(), r);
     o.max_iterations = 2;
-    (void)core::hooi(x, o, symbolic, &tree);
+    (void)reuse(o);
   }
   const double reuse_s = t_reuse.seconds();
   WallTimer t_rebuild;
@@ -1042,7 +1041,7 @@ int main(int argc, char** argv) {
     core::HooiOptions o = options;
     o.ranks.assign(x.order(), r);
     o.max_iterations = 2;
-    (void)core::hooi(x, o);  // rebuilds symbolic internally
+    (void)core::hooi(x, o);  // rebuilds its structures internally
   }
   const double rebuild_s = t_rebuild.seconds();
   std::printf("3 rank sweeps: reuse %.2fs vs rebuild %.2fs (%.2fx)\n\n",
@@ -1059,7 +1058,7 @@ int main(int argc, char** argv) {
   {
     core::HooiOptions o = options;
     o.max_iterations = 1;
-    factors = core::hooi(x, o, symbolic, &tree).decomposition.factors;
+    factors = reuse(o).decomposition.factors;
   }
   for (const auto schedule :
        {core::Schedule::kDynamic, core::Schedule::kStatic}) {

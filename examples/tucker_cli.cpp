@@ -6,8 +6,8 @@
 //                [--ttmc-kernel auto|nnz|fiber|csf|alto]
 //                [--structure-budget BYTES]
 //                [--fiber-threshold T] [--ttmc-strategy auto|direct|tree]
-//                [--trsvd-method lanczos|gram|block|rand|auto]
-//                [--trsvd-block B] [--trsvd-oversample P] [--trsvd-power Q]
+//                [--trsvd-method lanczos|gram|rand|auto]
+//                [--trsvd-oversample P] [--trsvd-power Q]
 //                [--export PREFIX] [--sweep] [--save-model FILE.htb]
 //   ./tucker_cli INPUT.tns R1,R2,... --completion [--holdout FRAC]
 //                [--val FRAC] [--lambda L] [--anneal FACTOR SWEEPS]
@@ -43,7 +43,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -53,6 +52,7 @@
 #include "core/rank_sweep.hpp"
 #include "core/split.hpp"
 #include "core/tucker_model.hpp"
+#include "parallel/thread_info.hpp"
 #include "serve/net.hpp"
 #include "serve/protocol.hpp"
 #include "storage/bundle.hpp"
@@ -99,8 +99,8 @@ int usage() {
                " [--ttmc-kernel auto|nnz|fiber|csf|alto]"
                " [--structure-budget BYTES] [--fiber-threshold T]"
                " [--ttmc-strategy auto|direct|tree]"
-               " [--trsvd-method lanczos|gram|block|rand|auto]"
-               " [--trsvd-block B] [--trsvd-oversample P] [--trsvd-power Q]"
+               " [--trsvd-method lanczos|gram|rand|auto]"
+               " [--trsvd-oversample P] [--trsvd-power Q]"
                " [--export PREFIX] [--sweep] [--save-model FILE.htb]\n"
                "       tucker_cli INPUT.tns R1,R2,... --completion"
                " [--holdout FRAC] [--val FRAC] [--lambda L]"
@@ -363,13 +363,13 @@ int main(int argc, char** argv) {
         return usage();
       }
     } else if (arg == "--trsvd-method") {
-      const auto method = ht::core::parse_trsvd_method(next());
-      if (!method) return usage();
+      const char* name = next();
+      const auto method = ht::core::parse_trsvd_method(name);
+      if (!method) {
+        std::fprintf(stderr, "unknown --trsvd-method '%s'\n", name);
+        return usage();
+      }
       options.trsvd_method = *method;
-    } else if (arg == "--trsvd-block") {
-      const int v = std::atoi(next());
-      if (v < 0) return usage();  // 0 = automatic block size
-      options.trsvd.block_size = static_cast<std::size_t>(v);
     } else if (arg == "--trsvd-oversample") {
       const int v = std::atoi(next());
       if (v < 0) return usage();
@@ -463,41 +463,18 @@ int main(int argc, char** argv) {
       return 0;
     }
 
+    // Preprocess here rather than inside hooi so a saved model can carry
+    // the CSF trees / ALTO arrays instead of discarding them with the solver.
     options.ranks = max_ranks;
-    ht::core::HooiResult result;
-    std::shared_ptr<const ht::tensor::CsfTensor> csf;
-    std::shared_ptr<const ht::tensor::AltoTensor> alto;
-    if (save_model_path.empty()) {
-      result = ht::core::hooi(x, options);
-    } else {
-      // Saving a model: run the preprocessing here (the same structures
-      // hooi would build internally) so the CSF trees / ALTO arrays can
-      // ride along in the bundle instead of being discarded with the
-      // solver state.
-      const bool with_fibers =
-          options.ttmc_kernel == ht::core::TtmcKernel::kAuto ||
-          options.ttmc_kernel == ht::core::TtmcKernel::kFiberFactored;
-      const auto symbolic = ht::core::SymbolicTtmc::build(x, with_fibers);
-      std::optional<ht::core::DimTreePlan> tree;
-      if (options.ttmc_strategy != ht::core::TtmcStrategy::kDirect &&
-          x.order() >= 2) {
-        tree.emplace(ht::core::DimTreePlan::build(x));
-      }
-      const ht::core::TtmcOptions ttmc_options{
-          options.ttmc_schedule, options.ttmc_kernel,
-          options.ttmc_fiber_threshold, options.ttmc_strategy,
-          options.ttmc_structure_budget};
-      if (ht::core::ttmc_wants_csf(symbolic, ttmc_options)) {
-        csf = std::make_shared<ht::tensor::CsfTensor>(
-            ht::tensor::CsfTensor::build(x));
-      }
-      if (ht::core::ttmc_wants_alto(symbolic, x.shape(), ttmc_options)) {
-        alto = std::make_shared<ht::tensor::AltoTensor>(
-            ht::tensor::AltoTensor::build(x));
-      }
-      result = ht::core::hooi(x, options, symbolic,
-                              tree ? &*tree : nullptr, csf.get(), alto.get());
-    }
+    ht::core::validate_hooi_options(x, options);
+    const auto structures = [&] {
+      ht::parallel::ThreadScope threads(options.num_threads);
+      return ht::core::HooiStructures::build(x, options.ttmc_options());
+    }();
+    auto result = ht::core::hooi(x, options, structures.symbolic,
+                                 structures.tree_ptr(), structures.csf.get(),
+                                 structures.alto.get());
+    result.timers.symbolic += structures.seconds;
     std::printf("fit %.6f after %d sweeps (converged=%s)\n",
                 result.final_fit(), result.iterations,
                 result.converged ? "yes" : "no");
@@ -509,8 +486,8 @@ int main(int argc, char** argv) {
     }
     if (!save_model_path.empty()) {
       auto model = ht::core::TuckerModel::from_hooi(x, std::move(result));
-      model.csf = std::move(csf);
-      model.alto = std::move(alto);
+      model.csf = structures.csf;
+      model.alto = structures.alto;
       ht::storage::save_bundle(model, save_model_path);
       std::printf("saved model to %s\n", save_model_path.c_str());
     }

@@ -125,10 +125,9 @@ class TtmcScheduler {
  public:
   /// `tree` may be null: every mode is then evaluated directly. `csf` and
   /// `alto` may be null: the direct path then never uses the CSF (resp.
-  /// ALTO) kernel (callers that want them — hooi, rank_sweep, dist_hooi —
-  /// consult ttmc_wants_csf/ttmc_wants_alto and build the structure up
-  /// front so its cost lands in the symbolic timers and is reused across
-  /// runs). `symbolic`, `tree`, `csf`, `alto`, and `x` must outlive the
+  /// ALTO) kernel (HooiStructures builds them up front when the options
+  /// want them, so their cost lands in the symbolic timers and is reused
+  /// across runs). `symbolic`, `tree`, `csf`, `alto`, and `x` must outlive the
   /// scheduler.
   TtmcScheduler(const CooTensor& x, const SymbolicTtmc& symbolic,
                 const DimTreePlan* tree, std::span<const index_t> ranks,

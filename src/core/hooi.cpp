@@ -1,7 +1,6 @@
 #include "core/hooi.hpp"
 
 #include <cmath>
-#include <optional>
 
 #include "core/hosvd.hpp"
 #include "la/blas.hpp"
@@ -26,48 +25,38 @@ void validate_hooi_options(const CooTensor& x, const HooiOptions& options) {
   }
 }
 
+HooiStructures HooiStructures::build(const CooTensor& x,
+                                     const TtmcOptions& options) {
+  WallTimer timer;
+  HooiStructures s;
+  // Only kAuto and an explicit fiber request consult the fiber index; skip
+  // the per-row sorts it would cost otherwise (kCsf walks its own trees).
+  const bool with_fibers = options.kernel == TtmcKernel::kAuto ||
+                           options.kernel == TtmcKernel::kFiberFactored;
+  s.symbolic = SymbolicTtmc::build(x, with_fibers);
+  if (options.strategy != TtmcStrategy::kDirect && x.order() >= 2) {
+    s.tree.emplace(DimTreePlan::build(x));
+  }
+  if (x.nnz() > 0 && ttmc_wants_csf(s.symbolic, options)) {
+    s.csf = std::make_shared<const tensor::CsfTensor>(
+        tensor::CsfTensor::build(x));
+  }
+  if (x.nnz() > 0 && ttmc_wants_alto(s.symbolic, x.shape(), options)) {
+    s.alto = std::make_shared<const tensor::AltoTensor>(
+        tensor::AltoTensor::build(x));
+  }
+  s.seconds = timer.seconds();
+  return s;
+}
+
 HooiResult hooi(const CooTensor& x, const HooiOptions& options) {
   validate_hooi_options(x, options);
   parallel::ThreadScope threads(options.num_threads);
-
-  WallTimer timer;
-  // Only kAuto and an explicit fiber request consult the fiber index; skip
-  // the per-row sorts it would cost otherwise (kCsf walks its own trees).
-  const bool with_fibers = options.ttmc_kernel == TtmcKernel::kAuto ||
-                           options.ttmc_kernel == TtmcKernel::kFiberFactored;
-  const SymbolicTtmc symbolic = SymbolicTtmc::build(x, with_fibers);
-  const double symbolic_seconds = timer.seconds();
-
-  HooiResult result = hooi(x, options, symbolic);
-  result.timers.symbolic += symbolic_seconds;
+  const HooiStructures s = HooiStructures::build(x, options.ttmc_options());
+  HooiResult result =
+      hooi(x, options, s.symbolic, s.tree_ptr(), s.csf.get(), s.alto.get());
+  result.timers.symbolic += s.seconds;
   return result;
-}
-
-HooiResult hooi(const CooTensor& x, const HooiOptions& options,
-                const SymbolicTtmc& symbolic) {
-  validate_hooi_options(x, options);
-  if (options.ttmc_strategy == TtmcStrategy::kDirect || x.order() < 2) {
-    return hooi(x, options, symbolic, nullptr);
-  }
-  WallTimer timer;
-  const DimTreePlan tree = DimTreePlan::build(x);
-  const double tree_seconds = timer.seconds();
-  HooiResult result = hooi(x, options, symbolic, &tree);
-  // Plan construction is preprocessing, like the symbolic pass: paid once,
-  // amortized over iterations (and sweeps, when the caller reuses it).
-  result.timers.symbolic += tree_seconds;
-  return result;
-}
-
-HooiResult hooi(const CooTensor& x, const HooiOptions& options,
-                const SymbolicTtmc& symbolic, const DimTreePlan* tree) {
-  return hooi(x, options, symbolic, tree, nullptr);
-}
-
-HooiResult hooi(const CooTensor& x, const HooiOptions& options,
-                const SymbolicTtmc& symbolic, const DimTreePlan* tree,
-                const tensor::CsfTensor* csf) {
-  return hooi(x, options, symbolic, tree, csf, nullptr);
 }
 
 HooiResult hooi(const CooTensor& x, const HooiOptions& options,
@@ -87,32 +76,8 @@ HooiResult hooi(const CooTensor& x, const HooiOptions& options,
           : randomized_range_factors(x, options.ranks, options.seed);
 
   const double x_norm2 = x.norm2_squared();
-  const TtmcOptions ttmc_options{options.ttmc_schedule, options.ttmc_kernel,
-                                 options.ttmc_fiber_threshold,
-                                 options.ttmc_strategy,
-                                 options.ttmc_structure_budget};
-
-  // CSF trees are preprocessing like the symbolic pass and the tree plan:
-  // pattern-only, built once, reused across iterations (and, when the
-  // caller passes them in, across runs and rank grids).
-  std::optional<tensor::CsfTensor> owned_csf;
-  if (csf == nullptr && ttmc_wants_csf(symbolic, ttmc_options)) {
-    WallTimer t_csf;
-    owned_csf.emplace(tensor::CsfTensor::build(x));
-    csf = &*owned_csf;
-    result.timers.symbolic += t_csf.seconds();
-  }
-  // Same contract for the linearized structure: one sorted key array serves
-  // every mode, so its (sort-dominated) build cost amortizes identically.
-  std::optional<tensor::AltoTensor> owned_alto;
-  if (alto == nullptr && ttmc_wants_alto(symbolic, x.shape(), ttmc_options)) {
-    WallTimer t_alto;
-    owned_alto.emplace(tensor::AltoTensor::build(x));
-    alto = &*owned_alto;
-    result.timers.symbolic += t_alto.seconds();
-  }
-  TtmcScheduler scheduler(x, symbolic, tree, options.ranks, ttmc_options,
-                          csf, alto);
+  TtmcScheduler scheduler(x, symbolic, tree, options.ranks,
+                          options.ttmc_options(), csf, alto);
 
   la::Matrix y;  // compact Y(n), reused across modes/iterations
   la::Matrix last_compact_u;

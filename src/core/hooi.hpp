@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/dim_tree.hpp"
@@ -29,9 +31,8 @@ struct HooiOptions {
   /// Stop when the fit improves by less than this between sweeps.
   double fit_tolerance = 1e-6;
   HooiInit init = HooiInit::kRandom;
-  /// TRSVD backend per mode; kAuto applies the resolve_trsvd_method cost
-  /// model to each mode's compact problem (block-size/oversample/power
-  /// knobs live in `trsvd` below).
+  /// TRSVD backend per mode; kAuto applies resolve_trsvd_method to each
+  /// mode's compact problem (oversample/power knobs live in `trsvd` below).
   TrsvdMethod trsvd_method = TrsvdMethod::kLanczos;
   Schedule ttmc_schedule = Schedule::kDynamic;
   /// Kernel family per TTMc mode; kAuto applies the fiber-length heuristic.
@@ -51,6 +52,34 @@ struct HooiOptions {
   /// Inner-solver controls; ALS does not need tight residuals here (the
   /// factors move every sweep anyway).
   la::TrsvdOptions trsvd = {.tol = 1e-7};
+
+  [[nodiscard]] TtmcOptions ttmc_options() const {
+    return {ttmc_schedule, ttmc_kernel, ttmc_fiber_threshold, ttmc_strategy,
+            ttmc_structure_budget};
+  }
+};
+
+/// The pattern-only preprocessing of paper Algorithm 3: built once, reused
+/// across sweeps, rank choices (rank_sweep) and, for CSF/ALTO, saved models.
+/// hooi, rank_sweep, every dist_hooi rank and tucker_cli build it here, so
+/// the "which structures do these options need" decision lives in one place.
+struct HooiStructures {
+  /// Symbolic TTMc; carries the fiber index only for kAuto/kFiberFactored.
+  SymbolicTtmc symbolic;
+  /// Dimension-tree plan, absent for kDirect or order < 2.
+  std::optional<DimTreePlan> tree;
+  /// Built when ttmc_wants_csf/ttmc_wants_alto say so and the tensor has a
+  /// nonzero; shared so a TuckerModel can carry them into a bundle.
+  std::shared_ptr<const tensor::CsfTensor> csf;
+  std::shared_ptr<const tensor::AltoTensor> alto;
+  /// Wall time of build().
+  double seconds = 0;
+
+  static HooiStructures build(const CooTensor& x, const TtmcOptions& options);
+
+  [[nodiscard]] const DimTreePlan* tree_ptr() const {
+    return tree ? &*tree : nullptr;
+  }
 };
 
 struct HooiTimers {
@@ -75,37 +104,17 @@ struct HooiResult {
   }
 };
 
-/// Run HOOI; builds the symbolic structure internally.
+/// Run HOOI; builds its HooiStructures internally (time charged to
+/// timers.symbolic).
 HooiResult hooi(const CooTensor& x, const HooiOptions& options);
 
-/// Run HOOI reusing a prebuilt symbolic structure (the paper reuses it
-/// across runs with different ranks); builds a dimension-tree plan
-/// internally unless options.ttmc_strategy is kDirect.
-HooiResult hooi(const CooTensor& x, const HooiOptions& options,
-                const SymbolicTtmc& symbolic);
-
-/// Run HOOI reusing both a prebuilt symbolic structure and a prebuilt
-/// dimension-tree plan (nullable: no tree => every mode evaluated
-/// directly). rank_sweep shares one plan across its whole rank grid.
-/// Builds CSF trees internally when ttmc_wants_csf says the kernel options
-/// ask for them (time charged to timers.symbolic).
-HooiResult hooi(const CooTensor& x, const HooiOptions& options,
-                const SymbolicTtmc& symbolic, const DimTreePlan* tree);
-
-/// Fully preprocessed variant: additionally reuses prebuilt CSF trees
-/// (nullable: the direct TTMc path then uses the flat-index kernels, or
-/// builds nothing if none are wanted). rank_sweep builds the trees once for
-/// its whole grid; every structure is pattern-only and rank-independent.
-/// Builds an ALTO structure internally when ttmc_wants_alto says the
-/// kernel options ask for one (time charged to timers.symbolic).
-HooiResult hooi(const CooTensor& x, const HooiOptions& options,
-                const SymbolicTtmc& symbolic, const DimTreePlan* tree,
-                const tensor::CsfTensor* csf);
-
-/// Fully preprocessed variant with a prebuilt ALTO structure as well
-/// (nullable: the direct TTMc path then never uses the kAlto kernel).
-/// Unlike the CSF trees, ALTO carries its own value array, so a prebuilt
-/// one must have values attached.
+/// Run HOOI over prebuilt pattern-only structures (the paper reuses them
+/// across runs with different ranks). `tree`, `csf` and `alto` may be null,
+/// meaning "not available": nothing is built here, so a null tree evaluates
+/// every mode directly and a null CSF/ALTO keeps the direct path off that
+/// kernel. ALTO carries its own value array, so a prebuilt one must have
+/// values attached. HooiStructures::build makes exactly the structures
+/// hooi(x, options) would, and the two calls then give bitwise-equal fits.
 HooiResult hooi(const CooTensor& x, const HooiOptions& options,
                 const SymbolicTtmc& symbolic, const DimTreePlan* tree,
                 const tensor::CsfTensor* csf, const tensor::AltoTensor* alto);

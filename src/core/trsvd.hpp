@@ -1,7 +1,7 @@
 // TRSVD step of HOOI: leading left singular vectors of the (compact)
 // matricized TTMc result Y(n) (paper Section III-A.2).
 //
-// Four interchangeable backends sit behind TrsvdMethod:
+// Three interchangeable backends sit behind TrsvdMethod:
 //   kLanczos       matrix-free scalar Golub–Kahan–Lanczos (the paper's
 //                  SLEPc substitute) — lowest constant, but every step is a
 //                  bandwidth-bound gemv pass over Y(n);
@@ -10,14 +10,12 @@
 //                  Gram methods concerns Y Y^T and, in the fine-grain
 //                  distributed setting, any method that would require
 //                  assembling Y(n);
-//   kBlockLanczos  block bidiagonalization: b columns of Krylov progress
-//                  per gemm-rich pass, iterates to tolerance;
 //   kRandomized    HMT randomized subspace iteration: fixed budget of
 //                  2q+2 block passes, accuracy set by oversampling/power
 //                  iterations — the cheapest backend at ALS-grade
 //                  tolerances;
-//   kAuto          per-mode choice from the calibrated cost model in
-//                  resolve_trsvd_method (the TRSVD analog of PR 3's
+//   kAuto          per-mode choice by problem size and tolerance in
+//                  resolve_trsvd_method (the TRSVD analog of
 //                  TtmcStrategy::kAuto).
 #pragma once
 
@@ -34,32 +32,25 @@ namespace ht::core {
 
 using tensor::index_t;
 
-enum class TrsvdMethod { kLanczos, kGram, kBlockLanczos, kRandomized, kAuto };
+enum class TrsvdMethod { kLanczos, kGram, kRandomized, kAuto };
 
-/// Resolve kAuto for a compact problem of `rows` x `cols` at the given
-/// target rank (returns non-auto methods unchanged). The model is the one
-/// the README documents: small problems (rows*cols under a cache-sized
+/// Resolve kAuto for a compact problem of `rows` x `cols` (returns non-auto
+/// methods unchanged): small problems (rows*cols under a cache-sized
 /// threshold) stay on the scalar Lanczos solver whose constant is lowest;
-/// large problems go to a gemm-rich blocked backend — randomized subspace
-/// iteration at ALS-grade tolerances, block Lanczos when options.tol is
-/// tight enough to need an iterate-to-tolerance solver — picked by modeled
-/// pass counts over Y(n) (the dominant cost in the bandwidth-bound regime).
+/// large problems at ALS-grade tolerances go to gemm-rich randomized
+/// subspace iteration, which makes the fewest passes over Y(n); a tolerance
+/// too tight for its fixed budget goes back to the iterate-to-tolerance
+/// scalar Lanczos solver.
 TrsvdMethod resolve_trsvd_method(TrsvdMethod method, std::size_t rows,
-                                 std::size_t cols, std::size_t rank,
+                                 std::size_t cols,
                                  const la::TrsvdOptions& options);
 
-/// Modeled cost (flop-equivalents, memory-traffic charged) behind the
-/// resolve_trsvd_method decision; exposed for tests and benches.
-double trsvd_method_cost(TrsvdMethod method, std::size_t rows,
-                         std::size_t cols, std::size_t rank,
-                         const la::TrsvdOptions& options);
-
-/// CLI/bench name <-> enum helpers ("lanczos", "gram", "block", "rand",
-/// "auto"); parse returns nullopt on unknown names.
+/// CLI/bench name <-> enum helpers ("lanczos", "gram", "rand", "auto");
+/// parse returns nullopt on unknown names.
 std::optional<TrsvdMethod> parse_trsvd_method(std::string_view name);
 const char* trsvd_method_name(TrsvdMethod method);
 
-/// Run a *matrix-free* backend (kLanczos/kBlockLanczos/kRandomized) over an
+/// Run a *matrix-free* backend (kLanczos/kRandomized) over an
 /// operator. Shared by the shared-memory dispatch below and the distributed
 /// driver, so a new backend is wired in exactly one place. kGram (needs the
 /// assembled matrix) and unresolved kAuto are programming errors here.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <optional>
 #include <utility>
 
 #include "core/dim_tree.hpp"
@@ -400,7 +399,7 @@ DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
   for (std::size_t n = 0; n < order; ++n) {
     result.trsvd_methods[n] = core::resolve_trsvd_method(
         options.trsvd_method, geo[n].rows.size(), geo[n].width,
-        geo[n].solvable, options.trsvd);
+        options.trsvd);
   }
 
   // Table III loads: a property of the partition, computed from the plans.
@@ -425,10 +424,6 @@ DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
   }
 
   const double x_norm2 = x.norm2_squared();
-  const core::TtmcOptions ttmc_options{
-      options.ttmc_schedule, options.ttmc_kernel,
-      options.ttmc_fiber_threshold, options.ttmc_strategy,
-      options.ttmc_structure_budget};
   const tensor::Shape core_shape(options.ranks.begin(), options.ranks.end());
 
   smp::run_spmd(p, [&](smp::Communicator& comm) {
@@ -436,38 +431,14 @@ DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
     const RankPlan& rp = rplans[static_cast<std::size_t>(rank)];
     parallel::ThreadScope threads(options.threads_per_rank);
 
-    WallTimer t_symbolic;
-    const bool with_fibers =
-        options.ttmc_kernel == core::TtmcKernel::kAuto ||
-        options.ttmc_kernel == core::TtmcKernel::kFiberFactored;
-    const core::SymbolicTtmc symbolic =
-        core::SymbolicTtmc::build(rp.local, with_fibers);
-    // Each rank plans its dimension tree over its own local tensor: the
-    // merge structure of local nonzeros has nothing to do with the other
-    // ranks', and the cost model resolves kAuto per rank.
-    std::optional<core::DimTreePlan> tree;
-    if (options.ttmc_strategy != core::TtmcStrategy::kDirect &&
-        rp.local.order() >= 2) {
-      tree.emplace(core::DimTreePlan::build(rp.local));
-    }
-    // CSF trees over the rank-local tensor, when the kernel options want
-    // them: the coarse grain then serves its owned rows through the CSF
-    // subset path, the fine grain its local partial rows. Preprocessing,
-    // like the symbolic pass — reused across all iterations.
-    std::optional<tensor::CsfTensor> csf;
-    if (core::ttmc_wants_csf(symbolic, ttmc_options) &&
-        rp.local.nnz() > 0) {
-      csf.emplace(tensor::CsfTensor::build(rp.local));
-    }
-    // ALTO over the rank-local tensor under the same contract: one sorted
-    // key/value array per rank serves every mode of its local TTMc.
-    std::optional<tensor::AltoTensor> alto;
-    if (core::ttmc_wants_alto(symbolic, rp.local.shape(), ttmc_options) &&
-        rp.local.nnz() > 0) {
-      alto.emplace(tensor::AltoTensor::build(rp.local));
-    }
+    // Each rank preprocesses its own local tensor: the dimension tree plans
+    // the merge structure of local nonzeros only, and the CSF/ALTO kernel
+    // decisions follow the local statistics.
+    const core::HooiStructures s =
+        core::HooiStructures::build(rp.local, options.ttmc_options());
+    const core::SymbolicTtmc& symbolic = s.symbolic;
     core::HooiTimers timers;
-    timers.symbolic = t_symbolic.seconds();
+    timers.symbolic = s.seconds;
 
     // Positions of owned rows inside the local row set (== local compact Y
     // rows: every local row is non-empty by construction), plus the
@@ -491,10 +462,9 @@ DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
       }
     }
 
-    core::TtmcScheduler scheduler(rp.local, symbolic,
-                                  tree ? &*tree : nullptr, options.ranks,
-                                  ttmc_options, csf ? &*csf : nullptr,
-                                  alto ? &*alto : nullptr);
+    core::TtmcScheduler scheduler(rp.local, symbolic, s.tree_ptr(),
+                                  options.ranks, options.ttmc_options(),
+                                  s.csf.get(), s.alto.get());
 
     std::vector<la::Matrix> factors = rp.initial_factors;  // local slices
     // Warm restart: adopt this rank's factor slices from a previous run's

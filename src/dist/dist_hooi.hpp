@@ -67,8 +67,9 @@ struct DistHooiOptions {
   /// rank-local partial sums the fold later combines.
   core::TtmcStrategy ttmc_strategy = core::TtmcStrategy::kAuto;
   /// TRSVD backend, resolved per mode (kAuto) against the global compact
-  /// problem size. The blocked backends batch the fold/expand exchange into
-  /// one message round per block apply instead of one per Lanczos vector.
+  /// problem size. The randomized backend batches the fold/expand exchange
+  /// into one message round per block apply instead of one per Lanczos
+  /// vector.
   /// kGram is rejected: it would require assembling Y(n) (the paper's
   /// argument for matrix-free solvers in the fine-grain setting).
   core::TrsvdMethod trsvd_method = core::TrsvdMethod::kLanczos;
@@ -83,6 +84,11 @@ struct DistHooiOptions {
   /// slices instead of the plan's random initialization — the fit
   /// trajectory continues exactly where the checkpointed run stopped.
   std::string checkpoint_dir;
+
+  [[nodiscard]] core::TtmcOptions ttmc_options() const {
+    return {ttmc_schedule, ttmc_kernel, ttmc_fiber_threshold, ttmc_strategy,
+            ttmc_structure_budget};
+  }
 };
 
 /// Per-mode/per-rank loads of one HOOI iteration (paper Table III).
@@ -96,8 +102,8 @@ struct DistLoad {
   std::uint64_t comm_entries = 0;
   /// Measured TRSVD communication rounds (fold/expand exchanges plus
   /// column-space/Gram allreduces), summed over iterations. Unlike the
-  /// modeled fields above, this is observed during the run: the blocked
-  /// backends batch b vectors per round, so it drops by ~b versus scalar
+  /// modeled fields above, this is observed during the run: the randomized
+  /// backend batches b vectors per round, so it drops by ~b versus scalar
   /// Lanczos on the same partition.
   std::uint64_t trsvd_rounds = 0;
 };
@@ -141,8 +147,8 @@ struct DistHooiResult {
   /// Fit after each completed sweep (identical on every rank).
   std::vector<double> fits;
   DistStats stats;
-  /// TRSVD backend resolved per mode (kAuto applies the cost model to the
-  /// global compact problem; identical on every rank).
+  /// TRSVD backend resolved per mode (kAuto applies resolve_trsvd_method to
+  /// the global compact problem; identical on every rank).
   std::vector<core::TrsvdMethod> trsvd_methods;
   /// Paper configuration label, e.g. "fine-hp".
   std::string label;

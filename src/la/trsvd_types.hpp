@@ -1,7 +1,7 @@
 // Options and result types shared by every TRSVD backend (scalar Lanczos,
-// block Lanczos, randomized subspace iteration, Gram cross-check).
+// randomized subspace iteration, Gram cross-check).
 //
-// Split out of lanczos.hpp so the blocked solvers do not depend on the
+// Split out of lanczos.hpp so the randomized solver does not depend on the
 // scalar solver's header; lanczos.hpp re-exports both names for existing
 // includers.
 #pragma once
@@ -18,8 +18,6 @@ struct TrsvdOptions {
   /// Residual tolerance relative to the largest singular value.
   double tol = 1e-10;
   /// Hard cap on bidiagonalization steps (0 = automatic: min(c, 2*rank+20)).
-  /// Block Lanczos counts *columns*, so b columns per block step draw from
-  /// the same budget.
   std::size_t max_steps = 0;
   /// Steps between convergence tests. The test costs an SVD of the
   /// projected (steps x steps) matrix — running it every step would
@@ -29,14 +27,8 @@ struct TrsvdOptions {
   /// Seed for the deterministic starting vector / sketch.
   std::uint64_t seed = 0x5eed5eedULL;
 
-  // -- blocked-solver knobs --------------------------------------------------
+  // -- randomized-solver knobs -----------------------------------------------
 
-  /// Block size b for the block Lanczos solver (0 = automatic:
-  /// clamp(rank, 4, 16) — one block step then usually covers the target
-  /// subspace). Every operator apply carries b row-space vectors at once —
-  /// gemm instead of gemv, and one batched fold/expand round in the
-  /// distributed operator instead of b latency-bound rounds.
-  std::size_t block_size = 0;
   /// Oversampling p for the randomized range finder: the sketch carries
   /// rank + p columns (clamped to the operator's column size).
   std::size_t oversample = 8;

@@ -41,28 +41,35 @@ void send_line(int fd, const std::string& line) {
   send_all(fd, framed.data(), framed.size());
 }
 
-/// Pull one newline-terminated line out of (fd, carry). Returns false on
-/// clean EOF with no buffered data.
-bool recv_line(int fd, std::string& carry, std::string& line) {
+enum class Recv { kLine, kEof, kTooLong };
+
+/// Pull one newline-terminated line out of (fd, carry). kEof on clean EOF
+/// with no buffered data; kTooLong as soon as the line exceeds max_bytes.
+Recv recv_line(int fd, std::string& carry, std::string& line,
+               std::size_t max_bytes) {
+  std::size_t scanned = 0;  // carry[0, scanned) holds no newline
   for (;;) {
-    const std::size_t pos = carry.find('\n');
+    const std::size_t pos = carry.find('\n', scanned);
     if (pos != std::string::npos) {
+      if (pos > max_bytes) return Recv::kTooLong;
       line.assign(carry, 0, pos);
       if (!line.empty() && line.back() == '\r') line.pop_back();
       carry.erase(0, pos + 1);
-      return true;
+      return Recv::kLine;
     }
+    if (carry.size() > max_bytes) return Recv::kTooLong;
+    scanned = carry.size();
     char buf[4096];
     const ssize_t r = ::recv(fd, buf, sizeof buf, 0);
     if (r < 0) {
       if (errno == EINTR) continue;
-      return false;  // connection reset: treat as EOF
+      return Recv::kEof;  // connection reset: treat as EOF
     }
     if (r == 0) {
-      if (carry.empty()) return false;
+      if (carry.empty()) return Recv::kEof;
       line = std::move(carry);  // final unterminated line
       carry.clear();
-      return true;
+      return Recv::kLine;
     }
     carry.append(buf, static_cast<std::size_t>(r));
   }
@@ -193,38 +200,56 @@ void SocketServer::accept_loop() {
       break;  // listen socket closed by shutdown()
     }
     reap_finished();
-    std::lock_guard<std::mutex> lock(workers_mutex_);
-    workers_.emplace_back([this, fd] { handle_connection(fd); });
+    std::lock_guard<std::mutex> lock(connections_mutex_);
+    // shutdown() clears running_ before it takes the lock to hang up and
+    // join, so a connection added here is always one it will see.
+    if (!running_.load(std::memory_order_acquire)) {
+      ::close(fd);
+      break;
+    }
+    Connection& c = connections_.emplace_back();
+    c.fd = fd;
+    c.worker = std::thread([this, &c] { handle_connection(c); });
   }
 }
 
-void SocketServer::handle_connection(int fd) {
+void SocketServer::handle_connection(Connection& c) {
   std::string carry, line;
-  while (recv_line(fd, carry, line)) {
-    std::string response;
-    try {
-      response = handler_(line);
-    } catch (const std::exception& e) {
-      response = std::string("ERR ") + e.what();
+  for (;;) {
+    const Recv got = recv_line(c.fd, carry, line, kMaxLineBytes);
+    if (got == Recv::kEof) break;
+    std::string response = "ERR line too long";
+    if (got == Recv::kLine) {
+      try {
+        response = handler_(line);
+      } catch (const std::exception& e) {
+        response = std::string("ERR ") + e.what();
+      }
     }
     try {
-      send_line(fd, response);
+      send_line(c.fd, response);
     } catch (const std::exception&) {
       break;  // peer went away mid-response
     }
     // Protocol-level close: QUIT/SHUTDOWN answer "OK bye" then hang up.
-    if (response == "OK bye") break;
+    if (got == Recv::kTooLong || response == "OK bye") break;
   }
-  ::close(fd);
+  // Hang up now so the peer sees EOF; the fd is closed once reaped.
+  ::shutdown(c.fd, SHUT_RDWR);
+  c.done.store(true, std::memory_order_release);
 }
 
 void SocketServer::reap_finished() {
-  // Joining here keeps the worker list from growing without bound on a
-  // long-lived daemon; finished threads join instantly.
-  std::lock_guard<std::mutex> lock(workers_mutex_);
-  if (workers_.size() < 64) return;
-  for (auto& w : workers_) w.join();
-  workers_.clear();
+  std::lock_guard<std::mutex> lock(connections_mutex_);
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    if (!it->done.load(std::memory_order_acquire)) {
+      ++it;
+      continue;
+    }
+    it->worker.join();
+    ::close(it->fd);
+    it = connections_.erase(it);
+  }
 }
 
 void SocketServer::shutdown() {
@@ -241,9 +266,14 @@ void SocketServer::shutdown() {
   }
   if (accept_thread_.joinable()) accept_thread_.join();
   listen_fd_ = -1;
-  std::lock_guard<std::mutex> lock(workers_mutex_);
-  for (auto& w : workers_) w.join();
-  workers_.clear();
+  std::lock_guard<std::mutex> lock(connections_mutex_);
+  // Workers of idle clients sit in recv(); hanging up makes it return.
+  for (auto& c : connections_) ::shutdown(c.fd, SHUT_RDWR);
+  for (auto& c : connections_) {
+    c.worker.join();
+    ::close(c.fd);
+  }
+  connections_.clear();
 }
 
 std::vector<std::string> query_lines(const std::string& target,
@@ -258,8 +288,9 @@ std::vector<std::string> query_lines(const std::string& target,
   try {
     for (const std::string& req : lines) {
       send_line(fd, req);
-      HT_CHECK_MSG(recv_line(fd, carry, line),
-                   "server closed the connection before responding");
+      HT_CHECK_MSG(
+          recv_line(fd, carry, line, std::string::npos) == Recv::kLine,
+          "server closed the connection before responding");
       responses.push_back(line);
     }
   } catch (...) {

@@ -4,11 +4,13 @@
 // socket path, otherwise it is host:port (client) or a bare port was
 // already resolved by the caller (server).
 //
-// The server runs one accept loop and a bounded pool of connection
-// threads; each connection reads newline-delimited requests and writes
-// one response line per request via a caller-supplied handler. shutdown()
-// closes the listen socket, unblocks accept(), and joins every worker —
-// safe to call from a handler thread through a deferred hook.
+// The server runs one accept loop and one thread per connection; each
+// connection reads newline-delimited requests (at most kMaxLineBytes each)
+// and writes one response line per request via a caller-supplied handler.
+// Finished connections are reaped on the next accept, so idle clients never
+// hold up new ones. shutdown() closes the listen socket, unblocks accept()
+// and every live connection's recv(), and joins every worker — call it from
+// a thread other than a handler's (tuckerd defers it to its main thread).
 #pragma once
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -20,13 +22,20 @@
 #if HT_HAVE_SOCKETS
 
 #include <atomic>
+#include <cstddef>
 #include <functional>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 namespace ht::serve {
+
+/// Longest request line the server accepts; a longer one is answered with
+/// "ERR line too long" and the connection is closed. 1 MiB holds a SCOREB
+/// of over 23,000 four-mode queries at full 10-digit coordinates.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
 class SocketServer {
  public:
@@ -51,7 +60,8 @@ class SocketServer {
   /// Run serve() on a background thread.
   void serve_async(Handler handler);
 
-  /// Stop accepting, close the listen socket, join all workers.
+  /// Stop accepting, close the listen socket, hang up every connection and
+  /// join all workers.
   void shutdown();
 
   [[nodiscard]] bool running() const {
@@ -59,8 +69,17 @@ class SocketServer {
   }
 
  private:
+  /// One client: its socket stays open until the worker is joined, so
+  /// shutdown() can never hit an fd number the kernel has reused.
+  struct Connection {
+    int fd = -1;
+    std::thread worker;
+    std::atomic<bool> done{false};
+  };
+
   void accept_loop();
-  void handle_connection(int fd);
+  void handle_connection(Connection& c);
+  /// Join and close the connections whose worker has finished.
   void reap_finished();
 
   Handler handler_;
@@ -69,8 +88,8 @@ class SocketServer {
   std::string unix_path_;
   std::atomic<bool> running_{false};
   std::thread accept_thread_;
-  std::mutex workers_mutex_;
-  std::vector<std::thread> workers_;
+  std::mutex connections_mutex_;
+  std::list<Connection> connections_;  // stable addresses for the workers
 };
 
 /// Client: connect to `target`, send each line, collect one response line

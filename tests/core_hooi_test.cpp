@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "core/hooi.hpp"
@@ -16,6 +17,9 @@ namespace {
 
 using ht::core::HooiOptions;
 using ht::core::HooiResult;
+using ht::core::HooiStructures;
+using ht::core::TtmcKernel;
+using ht::core::TtmcStrategy;
 using ht::core::TuckerDecomposition;
 using ht::la::Matrix;
 using ht::tensor::CooTensor;
@@ -177,12 +181,107 @@ TEST(HooiTest, ConvergedFlagSetWhenFitStalls) {
   EXPECT_LT(r.iterations, 50);
 }
 
+HooiResult hooi_over(const CooTensor& x, const HooiOptions& o,
+                     const HooiStructures& s) {
+  return ht::core::hooi(x, o, s.symbolic, s.tree_ptr(), s.csf.get(),
+                        s.alto.get());
+}
+
 TEST(HooiTest, SymbolicReuseAcrossRankChoices) {
   CooTensor x = ht::tensor::random_uniform(Shape{30, 30, 30}, 900, 17);
-  const ht::core::SymbolicTtmc sym = ht::core::SymbolicTtmc::build(x);
-  const HooiResult r2 = ht::core::hooi(x, basic_options({2, 2, 2}, 2), sym);
-  const HooiResult r5 = ht::core::hooi(x, basic_options({5, 5, 5}, 2), sym);
+  const auto s = HooiStructures::build(x, HooiOptions{}.ttmc_options());
+  const HooiResult r2 = hooi_over(x, basic_options({2, 2, 2}, 2), s);
+  const HooiResult r5 = hooi_over(x, basic_options({5, 5, 5}, 2), s);
   EXPECT_GE(r5.final_fit(), r2.final_fit() - 1e-9);  // more rank, better fit
+}
+
+TEST(HooiStructuresTest, BuildFollowsTtmcWants) {
+  // Fiber-dense and fiber-sparse 3-mode tensors plus a 5-mode one (no flat
+  // fiber index), over every kernel x strategy x budget: the built set is
+  // exactly what ttmc_wants_* and the strategy ask for.
+  const std::vector<CooTensor> tensors = {
+      ht::tensor::random_fibered(Shape{30, 30, 60}, 200, 8, 43),
+      ht::tensor::random_uniform(Shape{200, 200, 200}, 500, 47),
+      ht::tensor::random_fibered(Shape{8, 7, 6, 5, 20}, 150, 4, 23)};
+  int csf_built = 0, alto_built = 0, cases = 0;
+  for (const CooTensor& x : tensors) {
+    for (const TtmcKernel kernel :
+         {TtmcKernel::kAuto, TtmcKernel::kPerNnz, TtmcKernel::kFiberFactored,
+          TtmcKernel::kCsf, TtmcKernel::kAlto}) {
+      for (const TtmcStrategy strategy :
+           {TtmcStrategy::kAuto, TtmcStrategy::kDirect, TtmcStrategy::kTree}) {
+        for (const double budget : {0.0, 1.0}) {
+          HooiOptions o;
+          o.ttmc_kernel = kernel;
+          o.ttmc_strategy = strategy;
+          o.ttmc_structure_budget = budget;
+          const auto t = o.ttmc_options();
+          const auto s = HooiStructures::build(x, t);
+          ASSERT_EQ(s.symbolic.modes.size(), x.order());
+          const bool fibers = x.order() <= 4 &&
+                              (kernel == TtmcKernel::kAuto ||
+                               kernel == TtmcKernel::kFiberFactored);
+          EXPECT_EQ(s.symbolic.modes[0].has_fibers(), fibers);
+          EXPECT_EQ(s.tree.has_value(), strategy != TtmcStrategy::kDirect);
+          EXPECT_EQ(s.csf != nullptr, ht::core::ttmc_wants_csf(s.symbolic, t));
+          EXPECT_EQ(s.alto != nullptr,
+                    ht::core::ttmc_wants_alto(s.symbolic, x.shape(), t));
+          EXPECT_GE(s.seconds, 0.0);
+          csf_built += s.csf != nullptr;
+          alto_built += s.alto != nullptr;
+          ++cases;
+        }
+      }
+    }
+  }
+  // The grid reaches both answers for both structures.
+  EXPECT_GT(csf_built, 0);
+  EXPECT_LT(csf_built, cases);
+  EXPECT_GT(alto_built, 0);
+  EXPECT_LT(alto_built, cases);
+}
+
+TEST(HooiStructuresTest, EmptyTensorBuildsNoCsfOrAlto) {
+  // A distributed rank can own no nonzeros; explicit requests then build
+  // nothing to walk.
+  const CooTensor empty(Shape{5, 6, 7});
+  for (const TtmcKernel kernel : {TtmcKernel::kCsf, TtmcKernel::kAlto}) {
+    HooiOptions o;
+    o.ttmc_kernel = kernel;
+    const auto s = HooiStructures::build(empty, o.ttmc_options());
+    EXPECT_EQ(s.symbolic.modes.size(), 3u);
+    EXPECT_TRUE(s.tree.has_value());
+    EXPECT_EQ(s.csf, nullptr);
+    EXPECT_EQ(s.alto, nullptr);
+  }
+}
+
+TEST(HooiStructuresTest, SixArgumentCallMatchesOneCallBitwise) {
+  // hooi(x, o) is exactly build + the six-argument call: same fits to the
+  // bit, whichever structures the options ask for.
+  const CooTensor x =
+      ht::tensor::random_fibered(Shape{25, 20, 40}, 600, 5, 61);
+  for (const TtmcKernel kernel : {TtmcKernel::kAuto, TtmcKernel::kPerNnz,
+                                  TtmcKernel::kCsf, TtmcKernel::kAlto}) {
+    for (const TtmcStrategy strategy :
+         {TtmcStrategy::kAuto, TtmcStrategy::kDirect}) {
+      HooiOptions o = basic_options({3, 4, 3}, 3);
+      o.fit_tolerance = 0.0;
+      o.ttmc_kernel = kernel;
+      o.ttmc_strategy = strategy;
+      const HooiResult one = ht::core::hooi(x, o);
+      const HooiResult six =
+          hooi_over(x, o, HooiStructures::build(x, o.ttmc_options()));
+      ASSERT_EQ(one.fits.size(), six.fits.size());
+      EXPECT_EQ(std::memcmp(one.fits.data(), six.fits.data(),
+                            one.fits.size() * sizeof(double)),
+                0);
+      for (std::size_t n = 0; n < x.order(); ++n) {
+        EXPECT_TRUE(one.decomposition.factors[n].approx_equal(
+            six.decomposition.factors[n], 0.0));
+      }
+    }
+  }
 }
 
 TEST(HooiTest, TimersArePopulated) {

@@ -1,6 +1,6 @@
 // HOOI-level equivalence suite for the TRSVD backend layer: every backend
 // must drive HOOI to the same fit as the scalar Lanczos solver across
-// tensor orders 3/4/5, the kAuto cost model must resolve as documented,
+// tensor orders 3/4/5, kAuto must resolve as documented,
 // and the trsvd_factor dispatch/scatter must behave identically across
 // methods (including the parallelized scatter path).
 #include <gtest/gtest.h>
@@ -27,8 +27,8 @@ using ht::tensor::index_t;
 using ht::tensor::Shape;
 
 const std::vector<TrsvdMethod> kAllBackends = {
-    TrsvdMethod::kLanczos, TrsvdMethod::kGram, TrsvdMethod::kBlockLanczos,
-    TrsvdMethod::kRandomized, TrsvdMethod::kAuto};
+    TrsvdMethod::kLanczos, TrsvdMethod::kGram, TrsvdMethod::kRandomized,
+    TrsvdMethod::kAuto};
 
 CooTensor planted_tensor(const Shape& shape, std::size_t nnz, int rank,
                          std::uint64_t seed) {
@@ -116,8 +116,7 @@ TEST(TrsvdFactorDispatch, AllBackendsMatchGramOnCompactProblem) {
   const auto ref = ht::core::trsvd_factor(y, rows, 1600, 4,
                                           TrsvdMethod::kGram);
   for (const TrsvdMethod method :
-       {TrsvdMethod::kLanczos, TrsvdMethod::kBlockLanczos,
-        TrsvdMethod::kRandomized}) {
+       {TrsvdMethod::kLanczos, TrsvdMethod::kRandomized}) {
     const auto got = ht::core::trsvd_factor(y, rows, 1600, 4, method);
     EXPECT_EQ(got.method_used, method);
     for (std::size_t i = 0; i < 4; ++i) {
@@ -143,35 +142,25 @@ TEST(TrsvdAutoModel, ResolvesAsDocumented) {
 
   // Explicit methods pass through untouched.
   for (const TrsvdMethod m :
-       {TrsvdMethod::kLanczos, TrsvdMethod::kGram, TrsvdMethod::kBlockLanczos,
-        TrsvdMethod::kRandomized}) {
-    EXPECT_EQ(ht::core::resolve_trsvd_method(m, 1000000, 100, 10, loose), m);
+       {TrsvdMethod::kLanczos, TrsvdMethod::kGram, TrsvdMethod::kRandomized}) {
+    EXPECT_EQ(ht::core::resolve_trsvd_method(m, 1000000, 100, loose), m);
   }
 
   // Small problems stay on the scalar solver.
-  EXPECT_EQ(ht::core::resolve_trsvd_method(TrsvdMethod::kAuto, 1500, 16, 4,
+  EXPECT_EQ(ht::core::resolve_trsvd_method(TrsvdMethod::kAuto, 1500, 16,
                                            loose),
             TrsvdMethod::kLanczos);
 
   // Huge-mode problems at ALS tolerances go to the randomized backend
   // (fewest passes over Y(n), the measured winner on the ablation arm)...
   EXPECT_EQ(ht::core::resolve_trsvd_method(TrsvdMethod::kAuto, 1000000, 100,
-                                           10, loose),
+                                           loose),
             TrsvdMethod::kRandomized);
-  // ...and tight tolerances need the iterate-to-tolerance block solver.
+  // ...and tolerances past the sketch's fixed budget go back to the
+  // iterate-to-tolerance scalar solver.
   EXPECT_EQ(ht::core::resolve_trsvd_method(TrsvdMethod::kAuto, 1000000, 100,
-                                           10, tight),
-            TrsvdMethod::kBlockLanczos);
-
-  // The cost model ranks both blocked backends far below the scalar
-  // solver's 2*steps width-1 passes on the huge problem.
-  const double lanczos_cost = ht::core::trsvd_method_cost(
-      TrsvdMethod::kLanczos, 1000000, 100, 10, loose);
-  for (const TrsvdMethod m :
-       {TrsvdMethod::kRandomized, TrsvdMethod::kBlockLanczos}) {
-    EXPECT_LT(ht::core::trsvd_method_cost(m, 1000000, 100, 10, loose),
-              0.5 * lanczos_cost);
-  }
+                                           tight),
+            TrsvdMethod::kLanczos);
 }
 
 TEST(TrsvdMethodNames, ParseAndFormatRoundTrip) {
@@ -181,11 +170,10 @@ TEST(TrsvdMethodNames, ParseAndFormatRoundTrip) {
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, m);
   }
-  EXPECT_EQ(ht::core::parse_trsvd_method("block-lanczos"),
-            TrsvdMethod::kBlockLanczos);
   EXPECT_EQ(ht::core::parse_trsvd_method("randomized"),
             TrsvdMethod::kRandomized);
   EXPECT_FALSE(ht::core::parse_trsvd_method("krylov").has_value());
+  EXPECT_FALSE(ht::core::parse_trsvd_method("block").has_value());
 }
 
 TEST(RankSweepBackends, AutoSweepMatchesLanczosSweep) {
@@ -210,19 +198,15 @@ TEST(RankSweepBackends, AutoSweepMatchesLanczosSweep) {
 
 TEST(HooiBackends, DeterministicAcrossRuns) {
   const CooTensor x = planted_tensor({25, 20, 15}, 1500, 3, 11);
-  for (const TrsvdMethod method :
-       {TrsvdMethod::kBlockLanczos, TrsvdMethod::kRandomized}) {
-    HooiOptions opt;
-    opt.ranks = {3, 3, 3};
-    opt.max_iterations = 2;
-    opt.trsvd_method = method;
-    const auto a = ht::core::hooi(x, opt);
-    const auto b = ht::core::hooi(x, opt);
-    ASSERT_EQ(a.fits.size(), b.fits.size());
-    for (std::size_t i = 0; i < a.fits.size(); ++i) {
-      EXPECT_DOUBLE_EQ(a.fits[i], b.fits[i])
-          << ht::core::trsvd_method_name(method);
-    }
+  HooiOptions opt;
+  opt.ranks = {3, 3, 3};
+  opt.max_iterations = 2;
+  opt.trsvd_method = TrsvdMethod::kRandomized;
+  const auto a = ht::core::hooi(x, opt);
+  const auto b = ht::core::hooi(x, opt);
+  ASSERT_EQ(a.fits.size(), b.fits.size());
+  for (std::size_t i = 0; i < a.fits.size(); ++i) {
+    EXPECT_DOUBLE_EQ(a.fits[i], b.fits[i]);
   }
 }
 

@@ -264,7 +264,7 @@ TEST(AltoTtmcTest, HooiConvergesIdenticallyUnderAltoKernel) {
       EXPECT_NEAR(a.fits[i], b.fits[i], 1e-8) << "sweep " << i;
     }
 
-    // Prebuilt structure through the fully-preprocessed overload: same run.
+    // Prebuilt structure through the six-argument overload: same run.
     const SymbolicTtmc sym = SymbolicTtmc::build(x, /*with_fibers=*/false);
     const AltoTensor alto = AltoTensor::build(x);
     const auto c =

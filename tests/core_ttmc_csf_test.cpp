@@ -319,10 +319,10 @@ TEST(CsfTtmcTest, HooiConvergesIdenticallyUnderCsfKernel) {
       EXPECT_NEAR(a.fits[i], b.fits[i], 1e-8) << "sweep " << i;
     }
 
-    // Prebuilt trees through the fully-preprocessed overload: same run.
+    // Prebuilt trees through the six-argument overload: same run.
     const SymbolicTtmc sym = SymbolicTtmc::build(x, /*with_fibers=*/false);
     const CsfTensor csf = CsfTensor::build(x);
-    const auto c = ht::core::hooi(x, with_csf, sym, nullptr, &csf);
+    const auto c = ht::core::hooi(x, with_csf, sym, nullptr, &csf, nullptr);
     ASSERT_EQ(b.fits.size(), c.fits.size());
     for (std::size_t i = 0; i < b.fits.size(); ++i) {
       // Strategy kAuto may resolve differently with/without a dim tree;

@@ -1,12 +1,16 @@
 // Wire protocol and dispatcher: request parsing, %.17g double round-trip,
 // dispatcher responses against a live handle (including engine rebuild on
-// hot swap), and a loopback SocketServer end-to-end exchange.
+// hot swap), a loopback SocketServer end-to-end exchange, and the server's
+// behaviour under idle, departing and oversized clients.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,6 +22,16 @@
 #include "serve/protocol.hpp"
 #include "serve/serve_model.hpp"
 #include "tensor/generators.hpp"
+
+#if HT_HAVE_SOCKETS
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
+#include <unistd.h>
+
+#include <future>
+#include <mutex>
+#endif
 
 namespace {
 
@@ -194,6 +208,136 @@ TEST(SocketServerTest, LoopbackEndToEnd) {
   }
   server.shutdown();
   EXPECT_THROW(ht::serve::query_line(target, "PING"), ht::Error);
+}
+
+// Raw unix-socket client pieces, so a test can hold a connection open
+// without sending anything and bound every wait.
+std::string test_socket_path(const std::string& name) {
+  return ::testing::TempDir() + "ht_" + std::to_string(::getpid()) + "_" +
+         name + ".sock";
+}
+
+int connect_unix(const std::string& path, double timeout_s) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  timeval tv{};
+  tv.tv_sec = static_cast<time_t>(timeout_s);
+  tv.tv_usec = static_cast<suseconds_t>((timeout_s - tv.tv_sec) * 1e6);
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof addr),
+            0);
+  return fd;
+}
+
+/// Send all of `data`; false once the peer stops taking it.
+bool send_raw(int fd, const std::string& data) {
+  std::size_t off = 0;
+  while (off < data.size()) {
+    const ssize_t w =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+    if (w <= 0) return false;
+    off += static_cast<std::size_t>(w);
+  }
+  return true;
+}
+
+/// Read one line; empty optional on EOF or when the receive timeout hits.
+std::optional<std::string> read_line(int fd) {
+  std::string line;
+  char c;
+  while (::recv(fd, &c, 1, 0) == 1) {
+    if (c == '\n') return line;
+    line += c;
+  }
+  return std::nullopt;
+}
+
+std::string echo_size(const std::string& line) {
+  return line == "PING" ? "OK pong" : "OK " + std::to_string(line.size());
+}
+
+TEST(SocketServerTest, SixtyFifthClientAnsweredWhile64AreIdle) {
+  const std::string path = test_socket_path("idle64");
+  ht::serve::SocketServer server;
+  server.listen_unix(path);
+  server.serve_async(echo_size);
+
+  std::vector<int> idle;
+  for (int i = 0; i < 64; ++i) idle.push_back(connect_unix(path, 1.0));
+  const int fd = connect_unix(path, 1.0);
+  ASSERT_TRUE(send_raw(fd, "PING\n"));
+  EXPECT_EQ(read_line(fd), std::optional<std::string>("OK pong"));
+
+  ::close(fd);
+  for (const int c : idle) ::close(c);
+  server.shutdown();
+}
+
+TEST(SocketServerTest, ShutdownHangsUpIdleClients) {
+  // tuckerd's SHUTDOWN path: the handler only signals, and another thread
+  // tears the server down while a second client sits idle.
+  const std::string path = test_socket_path("shutdown");
+  std::mutex m;
+  std::condition_variable cv;
+  bool requested = false;
+  ht::serve::SocketServer server;
+  server.listen_unix(path);
+  server.serve_async([&](const std::string& line) -> std::string {
+    if (line != "SHUTDOWN") return echo_size(line);
+    {
+      std::lock_guard<std::mutex> lock(m);
+      requested = true;
+    }
+    cv.notify_all();
+    return "OK bye";
+  });
+
+  const int idle = connect_unix(path, 2.0);
+  ASSERT_TRUE(send_raw(idle, "PING\n"));  // accepted and now idle
+  ASSERT_EQ(read_line(idle), std::optional<std::string>("OK pong"));
+  EXPECT_EQ(ht::serve::query_line(path, "SHUTDOWN"), "OK bye");
+  {
+    std::unique_lock<std::mutex> lock(m);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(2),
+                            [&] { return requested; }));
+  }
+  auto stopped = std::async(std::launch::async, [&] { server.shutdown(); });
+  const bool in_time =
+      stopped.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  EXPECT_TRUE(in_time) << "shutdown() still waiting on the idle client";
+  if (in_time) {
+    EXPECT_EQ(read_line(idle), std::nullopt);  // hung up: EOF
+  }
+  ::close(idle);  // lets a stuck shutdown() finish so the test can end
+  stopped.wait();
+}
+
+TEST(SocketServerTest, OverlongLineIsRefusedAndClosed) {
+  const std::string path = test_socket_path("overlong");
+  ht::serve::SocketServer server;
+  server.listen_unix(path);
+  server.serve_async(echo_size);
+
+  // A line right at the cap is still served.
+  const int ok = connect_unix(path, 5.0);
+  ASSERT_TRUE(send_raw(ok, std::string(ht::serve::kMaxLineBytes, 'x') + "\n"));
+  EXPECT_EQ(read_line(ok), "OK " + std::to_string(ht::serve::kMaxLineBytes));
+  ::close(ok);
+
+  // 2 MiB with no newline: refused once past the cap, then hung up.
+  const int fd = connect_unix(path, 5.0);
+  EXPECT_FALSE(send_raw(fd, std::string(std::size_t{2} << 20, 'x')));
+  EXPECT_EQ(read_line(fd), std::optional<std::string>("ERR line too long"));
+  EXPECT_EQ(read_line(fd), std::nullopt);
+  ::close(fd);
+
+  EXPECT_EQ(ht::serve::query_line(path, "PING"), "OK pong");
+  server.shutdown();
 }
 #endif  // HT_HAVE_SOCKETS
 
