@@ -935,19 +935,20 @@ void completion_ablation(bool smoke, htb::JsonReport& report) {
     const char* name;
     int sweeps;
     double fit, train_s, rmse;
+    const core::CompletionTimers* timers;  // masked solver only
   };
   const Row rows[] = {
       {"masked", masked.sweeps,
        observed_fit(split.train, masked.final_train_rmse()), masked_s,
-       masked_eval.rmse},
+       masked_eval.rmse, &masked.timers},
       {"unmasked", unmasked.iterations, unmasked.final_fit(), unmasked_s,
-       unmasked_eval.rmse},
+       unmasked_eval.rmse, nullptr},
   };
   for (const Row& r : rows) {
     std::printf("%-9s %8d %8.4f %10.3f %12.4f %9.2fx %9.2f\n", r.name,
                 r.sweeps, r.fit, r.train_s, r.rmse,
                 r.rmse / planted.noise_sigma, planted.noise_sigma);
-    report.add()
+    auto& record = report.add()
         .str("arm", "completion")
         .str("solver", r.name)
         .num("nnz", static_cast<double>(planted.tensor.nnz()))
@@ -960,6 +961,11 @@ void completion_ablation(bool smoke, htb::JsonReport& report) {
         .num("train_s", r.train_s)
         .num("test_rmse", r.rmse)
         .num("rmse_vs_noise", r.rmse / planted.noise_sigma);
+    if (r.timers != nullptr) {
+      record.num("factor_s", r.timers->factor)
+          .num("core_s", r.timers->core)
+          .num("eval_s", r.timers->eval);
+    }
   }
   const double gap = unmasked_eval.rmse / masked_eval.rmse;
   std::printf("masked reaches %.2fx the noise floor; unmasked held-out RMSE "

@@ -234,11 +234,11 @@ int run_completion(const ht::tensor::CooTensor& x,
   auto result = core::tucker_complete(
       split.train, split.validation.nnz() ? &split.validation : nullptr,
       options);
-  std::printf("completion: %d sweeps (converged=%s, early_stopped=%s),"
-              " train RMSE %.6f\n",
+  std::printf("completion: %d sweeps (converged=%s, early_stopped=%s,"
+              " stalled=%s), train RMSE %.6f\n",
               result.sweeps, result.converged ? "yes" : "no",
               result.early_stopped ? "yes" : "no",
-              result.final_train_rmse());
+              result.stalled ? "yes" : "no", result.final_train_rmse());
   if (result.best_sweep >= 0) {
     std::printf("best validation sweep %d: RMSE %.6f\n", result.best_sweep,
                 result.validation_rmse[static_cast<std::size_t>(
@@ -481,6 +481,13 @@ int main(int argc, char** argv) {
     std::printf("timers: symbolic %.3fs ttmc %.3fs trsvd %.3fs core %.3fs\n",
                 result.timers.symbolic, result.timers.ttmc,
                 result.timers.trsvd, result.timers.core);
+    if (result.trsvd_unconverged > 0) {
+      std::printf("warning: %d of %d TRSVD factor solves stopped short of "
+                  "tol %g\n",
+                  result.trsvd_unconverged,
+                  result.iterations * static_cast<int>(x.order()),
+                  options.trsvd.tol);
+    }
     if (!export_prefix.empty()) {
       export_factors(result.decomposition, export_prefix);
     }

@@ -7,6 +7,7 @@
 
 #include "core/hosvd.hpp"
 #include "core/reconstruct.hpp"
+#include "core/ttmc.hpp"
 #include "parallel/thread_info.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
@@ -28,26 +29,6 @@ std::size_t core_size(const Shape& ranks) {
   std::size_t s = 1;
   for (const index_t r : ranks) s *= r;
   return s;
-}
-
-/// Kronecker product of the factor rows at `idx`, laid out like the flat
-/// core buffer (mode 0 slowest, last mode fastest):
-///   buf[((r_0 R_1 + r_1) R_2 + ...)] = prod_n U_n(idx[n], r_n).
-/// In-place expansion, descending source index, so no scratch is needed.
-void kron_rows(std::span<const la::Matrix> factors,
-               std::span<const index_t> idx, double* buf) {
-  std::size_t len = 1;
-  buf[0] = 1.0;
-  for (std::size_t n = 0; n < factors.size(); ++n) {
-    const auto row = factors[n].row(idx[n]);
-    const std::size_t r_count = row.size();
-    for (std::size_t p = len; p-- > 0;) {
-      const double w = buf[p];
-      double* out = buf + p * r_count;
-      for (std::size_t r = r_count; r-- > 0;) out[r] = w * row[r];
-    }
-    len *= r_count;
-  }
 }
 
 /// Solve (B + reg I) u = c for SPD B via in-place Cholesky. B is row-major
@@ -183,51 +164,6 @@ double squared_frobenius(const TuckerDecomposition& t) {
   return s;
 }
 
-/// out = A^T (A v) where row t of A is kron_rows at nonzero t; when
-/// `use_values` is set the forward product is replaced by x's values
-/// (computing A^T x instead). Fixed-block deterministic reduction.
-void masked_normal_apply(const CooTensor& x,
-                         std::span<const la::Matrix> factors,
-                         std::span<const double> v, bool use_values,
-                         std::vector<double>& out,
-                         std::vector<double>& block_partials) {
-  const std::size_t len = v.size();
-  const nnz_t n = x.nnz();
-  const nnz_t blocks = (n + kReduceBlock - 1) / kReduceBlock;
-  block_partials.assign(blocks * len, 0.0);
-  const std::size_t order = x.order();
-#pragma omp parallel
-  {
-    std::vector<double> kron(len);
-    std::vector<index_t> idx(order);
-#pragma omp for schedule(dynamic)
-    for (nnz_t b = 0; b < blocks; ++b) {
-      double* local = block_partials.data() + b * len;
-      const nnz_t begin = b * kReduceBlock;
-      const nnz_t end = std::min<nnz_t>(begin + kReduceBlock, n);
-      for (nnz_t e = begin; e < end; ++e) {
-        for (std::size_t m = 0; m < order; ++m) idx[m] = x.index(m, e);
-        kron_rows(factors, idx, kron.data());
-        double p;
-        if (use_values) {
-          p = x.value(e);
-        } else {
-          p = 0.0;
-          for (std::size_t j = 0; j < len; ++j) p += kron[j] * v[j];
-        }
-        for (std::size_t j = 0; j < len; ++j) local[j] += p * kron[j];
-      }
-    }
-  }
-  out.assign(len, 0.0);
-#pragma omp parallel for schedule(static) if (len >= 1024)
-  for (std::size_t j = 0; j < len; ++j) {
-    double s = 0.0;
-    for (nnz_t b = 0; b < blocks; ++b) s += block_partials[b * len + j];
-    out[j] = s;
-  }
-}
-
 double vec_dot(std::span<const double> a, std::span<const double> b) {
   double s = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
@@ -241,6 +177,10 @@ void validate_completion_options(const CooTensor& x,
   if (x.nnz() == 0) throw InvalidArgument("completion needs observed entries");
   if (x.order() < 2) {
     throw InvalidArgument("completion needs an order >= 2 tensor");
+  }
+  if (x.order() > kCsfMaxOrder) {
+    throw InvalidArgument("completion supports tensors up to order " +
+                          std::to_string(kCsfMaxOrder));
   }
   if (options.ranks.size() != x.order()) {
     throw InvalidArgument("need one rank per tensor mode");
@@ -329,15 +269,26 @@ void masked_update_mode(const CooTensor& x, const ModeSymbolic& sym,
   masked_update_rows(x, sym, mode, lambda, rows, t);
 }
 
+tensor::CsfTree completion_csf_tree(const CooTensor& x) {
+  std::size_t root = 0;
+  for (std::size_t n = 1; n < x.order(); ++n) {
+    if (x.dim(n) < x.dim(root)) root = n;
+  }
+  tensor::CsfTree tree = tensor::CsfTree::build_pattern(x, root);
+  tree.attach_values(x);
+  return tree;
+}
+
 int masked_update_core(const CooTensor& x, double lambda, int max_iterations,
-                       double tolerance, TuckerDecomposition& t) {
+                       double tolerance, TuckerDecomposition& t,
+                       const tensor::CsfTree* csf) {
+  std::optional<tensor::CsfTree> own;
+  if (csf == nullptr) csf = &own.emplace(completion_csf_tree(x));
+  HT_CHECK_MSG(csf->levels() == x.order() && csf->num_leaves() == x.nnz(),
+               "CSF tree does not match the observed entries");
   const std::size_t len = core_size(t.core.shape());
-  const std::span<const la::Matrix> factors{t.factors.data(),
-                                            t.factors.size()};
-  std::vector<double> scratch;
   std::vector<double> b;
-  masked_normal_apply(x, factors, std::vector<double>(len, 0.0), true, b,
-                      scratch);
+  csf_normal_apply(t.factors, *csf, {}, b);
   const double b_norm = std::sqrt(vec_dot(b, b));
 
   auto core = t.core.flat();
@@ -345,7 +296,7 @@ int masked_update_core(const CooTensor& x, double lambda, int max_iterations,
   std::vector<double> mg, mp;
   const auto normal_matvec = [&](std::span<const double> v,
                                  std::vector<double>& out) {
-    masked_normal_apply(x, factors, v, false, out, scratch);
+    csf_normal_apply(t.factors, *csf, v, out);
     for (std::size_t j = 0; j < len; ++j) out[j] += lambda * v[j];
   };
 
@@ -422,7 +373,19 @@ CompletionResult tucker_complete(const CooTensor& train,
   WallTimer t_sym;
   const SymbolicTtmc symbolic =
       SymbolicTtmc::build(train, /*with_fibers=*/false);
+  const tensor::CsfTree csf = completion_csf_tree(train);
   result.timers.symbolic = t_sym.seconds();
+
+  // Stall baseline: the train RMSE of predicting every entry by the mean.
+  double mean = 0.0;
+  for (const double v : train.values()) mean += v;
+  mean /= static_cast<double>(train.nnz());
+  double mean_sse = 0.0;
+  for (const double v : train.values()) mean_sse += (v - mean) * (v - mean);
+  const double mean_rmse =
+      std::sqrt(mean_sse / static_cast<double>(train.nnz()));
+  bool annealed = false;          // a sweep has run at the final lambda
+  bool beat_mean_after = false;   // ... and beaten the mean's train RMSE
 
   // Init: random orthonormal factors; rows with no observed entries are
   // zeroed so unobserved entities predict 0 (the regularized solution they
@@ -463,7 +426,7 @@ CompletionResult tucker_complete(const CooTensor& train,
   {
     WallTimer t_core;
     masked_update_core(train, effective_lambda(0), options.core_cg_iterations,
-                       options.core_cg_tolerance, t);
+                       options.core_cg_tolerance, t, &csf);
     result.timers.core += t_core.seconds();
   }
 
@@ -488,7 +451,7 @@ CompletionResult tucker_complete(const CooTensor& train,
     {
       WallTimer t_core;
       masked_update_core(train, lambda, options.core_cg_iterations,
-                         options.core_cg_tolerance, t);
+                         options.core_cg_tolerance, t, &csf);
       result.timers.core += t_core.seconds();
     }
 
@@ -500,6 +463,10 @@ CompletionResult tucker_complete(const CooTensor& train,
     result.train_rmse.push_back(
         std::sqrt(train_err.sse / static_cast<double>(train.nnz())));
     result.sweeps = sweep + 1;
+    if (!annealing) {
+      annealed = true;
+      beat_mean_after = beat_mean_after || result.train_rmse.back() < mean_rmse;
+    }
 
     if (with_validation) {
       const CompletionEval val = evaluate_model(*validation, t);
@@ -535,6 +502,9 @@ CompletionResult tucker_complete(const CooTensor& train,
       }
     }
   }
+
+  result.stalled = annealed && !beat_mean_after;
+  if (result.stalled) result.converged = false;
 
   if (with_validation && options.restore_best && best_snapshot &&
       result.best_sweep >= 0 &&
@@ -575,6 +545,7 @@ TuckerModel completion_model(const CooTensor& train, CompletionResult&& result,
                             result.converged ? "1" : "0");
   m.provenance.emplace_back("completion.early_stopped",
                             result.early_stopped ? "1" : "0");
+  m.provenance.emplace_back("completion.stalled", result.stalled ? "1" : "0");
   if (result.best_sweep >= 0) {
     m.provenance.emplace_back("completion.best_sweep",
                               std::to_string(result.best_sweep));

@@ -22,15 +22,26 @@
 // lists are exactly core/symbolic's ModeSymbolic update lists — the same
 // structure the TTMc kernels iterate — so the masked sweep reuses the
 // existing symbolic preprocessing unchanged. The core is refreshed by
-// warm-started conjugate gradients on its (ridge) normal equations; each
-// half-step minimizes the objective exactly (rows) or monotonically
-// decreases it (CG), so the training objective is non-increasing per sweep.
+// warm-started conjugate gradients on its (ridge) normal equations
+// (A^T A + lambda I) g = A^T x, where row t of A is the Kronecker product
+// of the factor rows at t's coordinates. Both products run through the
+// CSF kernel layer (core/ttmc.hpp, csf_normal_apply) as one fused
+// depth-first walk of a single tree built once per solve and rooted at the
+// shortest mode: down the tree the core is contracted with the root row
+// and each internal node's factor row, so every shared coordinate prefix
+// is paid once and a leaf's prediction is a rank-sized dot product; up the
+// tree the predictions (or the observed values, for A^T x) are expanded
+// into the core gradient the way the kCsf TTMc walk expands Y(n) — no
+// nonzero ever forms its R^N Kronecker row. Each half-step minimizes the
+// objective exactly (rows) or monotonically decreases it (CG), so the
+// training objective is non-increasing per sweep.
 //
 // Determinism: rows are solved in parallel but each row's accumulation is
-// sequential over its update list, rows write disjoint factor rows, and
-// every cross-nonzero reduction (core gradient, RMSE/objective sums) runs
-// over FIXED 8192-nonzero blocks whose partials are combined in ascending
-// block order — the same arena discipline as la/blas.cpp — so results are
+// sequential over its update list, rows write disjoint factor rows; the
+// core gradient is reduced over nnz-balanced tiles of level-1 subtrees
+// with a thread-independent size, combined in tile order, and the RMSE/objective
+// sums run over FIXED 8192-nonzero blocks combined in ascending block
+// order — the same arena discipline as la/blas.cpp — so results are
 // bitwise identical across runs, thread counts, and schedules.
 //
 // The row update is exposed stand-alone (masked_update_rows) on a caller-
@@ -47,6 +58,7 @@
 #include "core/tucker.hpp"
 #include "core/tucker_model.hpp"
 #include "tensor/coo_tensor.hpp"
+#include "tensor/csf.hpp"
 
 namespace ht::core {
 
@@ -113,6 +125,11 @@ struct CompletionResult {
   int sweeps = 0;
   bool converged = false;       // objective_tolerance reached
   bool early_stopped = false;   // validation patience exhausted
+  /// No sweep at the final (post-annealing) lambda beat the train RMSE of
+  /// the global-mean predictor: the solver sat at or near the zero model.
+  /// A stalled run reports converged = false; the flag changes neither
+  /// the iterates nor the sweep count.
+  bool stalled = false;
   /// Sweep (0-based) of the best validation RMSE; -1 without validation.
   int best_sweep = -1;
   CompletionTimers timers;
@@ -149,13 +166,24 @@ void masked_update_mode(const CooTensor& x, const ModeSymbolic& sym,
                         std::size_t mode, double lambda,
                         TuckerDecomposition& t);
 
+/// The tree the core refresh walks: `x`'s pattern and values, rooted at
+/// its shortest mode (ties to the lowest mode id), so every level is in
+/// shortest-first order and the per-root R^N work is paid the fewest times.
+tensor::CsfTree completion_csf_tree(const CooTensor& x);
+
 /// Warm-started CG refresh of the core against the observed entries:
 /// solves (A^T A + lambda I) g = A^T x where row t of A is the Kronecker
-/// product of the factor rows at t's coordinates. Starts from the current
-/// core values and monotonically decreases the objective. Returns the CG
-/// iterations used. Deterministic (fixed-block gradient reduction).
+/// product of the factor rows at t's coordinates, both products through
+/// csf_normal_apply over `csf`. `csf`, when non-null, is a tree of `x`
+/// with values attached; null builds completion_csf_tree(x) here — the
+/// tree tucker_complete builds once per solve and passes, so the two calls
+/// agree bit for bit. Starts from
+/// the current core values and monotonically decreases the objective.
+/// Returns the CG iterations used. Bitwise deterministic for any thread
+/// count.
 int masked_update_core(const CooTensor& x, double lambda, int max_iterations,
-                       double tolerance, TuckerDecomposition& t);
+                       double tolerance, TuckerDecomposition& t,
+                       const tensor::CsfTree* csf = nullptr);
 
 /// Training objective: SSE over the observed entries plus
 /// lambda * (sum_n ||U_n||^2 + ||G||^2). Deterministic.
@@ -178,13 +206,16 @@ CompletionEval evaluate_model(const CooTensor& x,
 /// Package a completion run as a serveable TuckerModel: dims/fit from the
 /// training tensor (fit = 1 - ||P_Omega(X - Xhat)|| / ||X||, the masked
 /// counterpart of the HOOI fit), build provenance, and `completion.*`
-/// provenance keys (lambda, seed, sweeps, train RMSE, stop reason).
+/// provenance keys (lambda, seed, sweeps, train RMSE, stop reason,
+/// stalled).
 /// Callers append split/holdout keys they know about (completion.split_seed,
 /// completion.holdout_rmse, ...) before saving the bundle.
 TuckerModel completion_model(const CooTensor& train, CompletionResult&& result,
                              const CompletionOptions& options);
 
-/// Validate options against the tensor; throws ht::InvalidArgument.
+/// Validate options against the tensor; throws ht::InvalidArgument. Orders
+/// above kCsfMaxOrder (core/ttmc.hpp) are rejected: the core refresh runs
+/// only through the CSF walk.
 void validate_completion_options(const CooTensor& x,
                                  const CompletionOptions& options);
 

@@ -94,6 +94,7 @@ HooiResult hooi(const CooTensor& x, const HooiOptions& options,
           trsvd_factor(y, symbolic.modes[n].rows, x.dim(n), options.ranks[n],
                        options.trsvd_method, options.trsvd);
       result.timers.trsvd += t_trsvd.seconds();
+      if (!svd.converged) ++result.trsvd_unconverged;
 
       factors[n] = std::move(svd.factor);
       if (n + 1 == order) last_compact_u = std::move(svd.compact_u);

@@ -97,6 +97,9 @@ struct HooiResult {
   std::vector<double> fits;
   int iterations = 0;
   bool converged = false;
+  /// Factor solves (one per mode per sweep) whose TRSVD backend stopped
+  /// short of its residual tolerance, e.g. at TrsvdOptions::max_steps.
+  int trsvd_unconverged = 0;
   HooiTimers timers;
 
   [[nodiscard]] double final_fit() const {

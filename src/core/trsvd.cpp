@@ -117,6 +117,7 @@ FactorTrsvd scatter_trsvd_solution(const la::TrsvdResult& solved,
                                    std::size_t rank) {
   FactorTrsvd out;
   out.solver_steps = solved.steps;
+  out.converged = solvable == 0 || solved.converged;
 
   out.sigma.assign(rank, 0.0);
   std::copy(solved.sigma.begin(), solved.sigma.end(), out.sigma.begin());

@@ -68,6 +68,10 @@ struct FactorTrsvd {
   la::Matrix compact_u;
   std::vector<double> sigma;
   std::size_t solver_steps = 0;
+  /// Whether the backend met its residual tolerance (la::TrsvdResult::
+  /// converged; true when there was nothing to solve). An unconverged
+  /// factor is still completed to orthonormal columns.
+  bool converged = true;
   /// Backend that actually ran (kAuto resolved).
   TrsvdMethod method_used = TrsvdMethod::kLanczos;
 };

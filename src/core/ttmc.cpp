@@ -290,11 +290,6 @@ void ttmc4_fiber(const CooTensor& x, const std::vector<la::Matrix>& factors,
 
 // ---- CSF kernel ------------------------------------------------------------
 
-// Deepest CSF tree the kernel's fixed-size per-level arrays accommodate;
-// higher orders stay on the general per-nnz kernel (the selection logic
-// never offers CSF trees past this depth to the dispatcher).
-constexpr std::size_t kCsfMaxOrder = 8;
-
 // Read-only per-invocation context of the CSF depth-first walk, shared by
 // every thread (per-thread state is only the partial buffers).
 struct CsfWalkCtx {
@@ -306,17 +301,31 @@ struct CsfWalkCtx {
   std::size_t width[kCsfMaxOrder] = {};
 };
 
-// DFS over one subtree: fills part[d] (width[d] doubles) with the node's
-// partial contraction in tree Kronecker order. Leaf runs stream values and
-// trailing coordinates sequentially (they were gathered into tree order at
-// build time); every internal node pays its factor-row expansion exactly
-// once, so shared prefixes amortize across all leaves below them.
-void csf_walk(const CsfWalkCtx& c, std::size_t d, nnz_t node,
+CsfWalkCtx csf_walk_ctx(const std::vector<la::Matrix>& factors,
+                        const tensor::CsfTree& tree) {
+  CsfWalkCtx c;
+  c.tree = &tree;
+  c.nlevels = tree.levels();
+  for (std::size_t d = 0; d < c.nlevels; ++d) {
+    c.u[d] = &factors[tree.level_modes[d]];
+  }
+  c.width[c.nlevels - 1] = 1;
+  for (std::size_t d = c.nlevels - 1; d-- > 0;) {
+    c.width[d] = c.width[d + 1] * c.u[d + 1]->cols();
+  }
+  return c;
+}
+
+// DFS over the children [begin, end) of one level-d node: fills part[d]
+// (width[d] doubles) with their partial contraction in tree Kronecker order.
+// Leaf runs stream values and trailing coordinates sequentially (they were
+// gathered into tree order at build time); every internal node pays its
+// factor-row expansion exactly once, so shared prefixes amortize across all
+// leaves below them.
+void csf_walk(const CsfWalkCtx& c, std::size_t d, nnz_t begin, nnz_t end,
               double* const* part) {
   double* acc = part[d];
   std::fill(acc, acc + c.width[d], 0.0);
-  const nnz_t* cptr = c.tree->ptr[d + 1].data();
-  const nnz_t begin = cptr[node], end = cptr[node + 1];
   if (d + 2 == c.nlevels) {
     // Children are leaves: acc has the trailing factor's width.
     const index_t* leaf_idx = c.tree->idx[c.nlevels - 1].data();
@@ -331,11 +340,12 @@ void csf_walk(const CsfWalkCtx& c, std::size_t d, nnz_t node,
     return;
   }
   const index_t* child_idx = c.tree->idx[d + 1].data();
+  const nnz_t* gptr = c.tree->ptr[d + 2].data();
   const la::Matrix& uc = *c.u[d + 1];
   const std::size_t rc = uc.cols();
   const std::size_t wc = c.width[d + 1];
   for (nnz_t k = begin; k < end; ++k) {
-    csf_walk(c, d + 1, k, part);
+    csf_walk(c, d + 1, gptr[k], gptr[k + 1], part);
     const double* child = part[d + 1];
     const double* urow = uc.data() + static_cast<std::size_t>(child_idx[k]) * rc;
     for (std::size_t j = 0; j < rc; ++j) {
@@ -346,11 +356,78 @@ void csf_walk(const CsfWalkCtx& c, std::size_t d, nnz_t node,
   }
 }
 
+// csf_walk with the model's prediction as each leaf's weight instead of the
+// stored value: on the way down, down[d] (width[d] doubles) holds the
+// tree-ordered core contracted with the factor rows of every level from the
+// root to the level-d node that owns [begin, end), so each internal node
+// pays its contraction once and a leaf's prediction is a rank-sized dot
+// product. The way up is csf_walk's.
+void csf_normal_walk(const CsfWalkCtx& c, std::size_t d, nnz_t begin,
+                     nnz_t end, double* const* down, double* const* part) {
+  double* acc = part[d];
+  std::fill(acc, acc + c.width[d], 0.0);
+  if (d + 2 == c.nlevels) {
+    const index_t* leaf_idx = c.tree->idx[c.nlevels - 1].data();
+    const la::Matrix& uf = *c.u[c.nlevels - 1];
+    const std::size_t r = c.width[d];
+    const double* w = down[d];
+    for (nnz_t s = begin; s < end; ++s) {
+      const double* urow = uf.data() + static_cast<std::size_t>(leaf_idx[s]) * r;
+      double v = 0.0;
+      for (std::size_t j = 0; j < r; ++j) v += w[j] * urow[j];
+      for (std::size_t j = 0; j < r; ++j) acc[j] += v * urow[j];
+    }
+    return;
+  }
+  const index_t* child_idx = c.tree->idx[d + 1].data();
+  const nnz_t* gptr = c.tree->ptr[d + 2].data();
+  const la::Matrix& uc = *c.u[d + 1];
+  const std::size_t rc = uc.cols();
+  const std::size_t wc = c.width[d + 1];
+  for (nnz_t k = begin; k < end; ++k) {
+    const double* urow = uc.data() + static_cast<std::size_t>(child_idx[k]) * rc;
+    double* next = down[d + 1];
+    std::fill(next, next + wc, 0.0);
+    for (std::size_t j = 0; j < rc; ++j) {
+      const double s = urow[j];
+      const double* src = down[d] + j * wc;
+      for (std::size_t q = 0; q < wc; ++q) next[q] += s * src[q];
+    }
+    csf_normal_walk(c, d + 1, gptr[k], gptr[k + 1], down, part);
+    const double* child = part[d + 1];
+    for (std::size_t j = 0; j < rc; ++j) {
+      const double s = urow[j];
+      double* dst = acc + j * wc;
+      for (std::size_t q = 0; q < wc; ++q) dst[q] += s * child[q];
+    }
+  }
+}
+
+// Digit permutation from tree Kronecker order to a destination layout:
+// tree position p = sum_{d >= first} digit_d * width[d] (digit_d ranging
+// over level d's rank) maps to sum_d digit_d * stride[d].
+std::vector<std::uint32_t> tree_order_perm(const CsfWalkCtx& c,
+                                           std::size_t first,
+                                           std::size_t total,
+                                           const std::size_t* stride) {
+  std::vector<std::uint32_t> perm(total);
+  for (std::size_t p = 0; p < total; ++p) {
+    std::size_t rem = p, q = 0;
+    for (std::size_t d = first; d < c.nlevels; ++d) {
+      q += (rem / c.width[d]) * stride[d];
+      rem %= c.width[d];
+    }
+    perm[p] = static_cast<std::uint32_t>(q);
+  }
+  return perm;
+}
+
 // Tile target: a tile closes once it holds this many leaves, so one giant
-// root row becomes its own tile while sparse rows coalesce. The constant is
-// independent of the thread count — tiling only partitions work, each row
-// is still accumulated sequentially by one thread, so results are bitwise
-// reproducible for any OpenMP configuration.
+// root row (in csf_normal_apply, one giant level-1 subtree) becomes its own
+// tile while sparse rows coalesce. The constant is independent of the
+// thread count — tiling only partitions work, each row is still accumulated
+// sequentially by one thread, so results are bitwise reproducible for any
+// OpenMP configuration.
 constexpr nnz_t kCsfTileNnz = 8192;
 
 template <typename RowMap>
@@ -360,14 +437,7 @@ void ttmc_csf_tree(const std::vector<la::Matrix>& factors,
                    const TtmcOptions& options) {
   const std::size_t L = tree.levels();
   HT_CHECK_MSG(L <= kCsfMaxOrder, "CSF kernel supports tensors up to order 8");
-  CsfWalkCtx c;
-  c.tree = &tree;
-  c.nlevels = L;
-  for (std::size_t d = 0; d < L; ++d) c.u[d] = &factors[tree.level_modes[d]];
-  c.width[L - 1] = 1;
-  for (std::size_t d = L - 1; d-- > 0;) {
-    c.width[d] = c.width[d + 1] * c.u[d + 1]->cols();
-  }
+  const CsfWalkCtx c = csf_walk_ctx(factors, tree);
 
   // The walk produces rows in *tree* Kronecker order (level 1 slowest, the
   // leaf level fastest). When the shortest-mode-first permutation reordered
@@ -387,15 +457,7 @@ void ttmc_csf_tree(const std::vector<la::Matrix>& factors,
       }
       stride_y[d] = stride;
     }
-    perm.resize(c.width[0]);
-    for (std::size_t p = 0; p < perm.size(); ++p) {
-      std::size_t rem = p, q = 0;
-      for (std::size_t d = 1; d < L; ++d) {
-        q += (rem / c.width[d]) * stride_y[d];
-        rem %= c.width[d];
-      }
-      perm[p] = static_cast<std::uint32_t>(q);
-    }
+    perm = tree_order_perm(c, 1, c.width[0], stride_y);
   }
 
   // nnz-balanced tiles over the output rows.
@@ -419,6 +481,7 @@ void ttmc_csf_tree(const std::vector<la::Matrix>& factors,
     total += c.width[d];
   }
 
+  const nnz_t* rptr = tree.ptr[1].data();
   const auto body = [&](std::ptrdiff_t ti) {
     std::vector<double>& buf = kernel_scratch().a;
     buf.resize(total);
@@ -426,12 +489,14 @@ void ttmc_csf_tree(const std::vector<la::Matrix>& factors,
     for (std::size_t d = 0; d + 1 < L; ++d) part[d] = buf.data() + off[d];
     for (std::ptrdiff_t r = tile[ti]; r < tile[ti + 1]; ++r) {
       auto row = y.row(static_cast<std::size_t>(r));
+      const auto node = static_cast<std::size_t>(map(r));
+      const nnz_t begin = rptr[node], end = rptr[node + 1];
       if (identity) {
         part[0] = row.data();  // csf_walk zero-fills before accumulating
-        csf_walk(c, 0, map(r), part);
+        csf_walk(c, 0, begin, end, part);
       } else {
         part[0] = buf.data() + off[0];
-        csf_walk(c, 0, map(r), part);
+        csf_walk(c, 0, begin, end, part);
         const double* src = part[0];
         for (std::size_t p = 0; p < perm.size(); ++p) row[perm[p]] = src[p];
       }
@@ -446,6 +511,130 @@ void ttmc_csf_tree(const std::vector<la::Matrix>& factors,
     for (std::ptrdiff_t ti = 0; ti < ntiles; ++ti) body(ti);
   }
 }
+
+}  // namespace
+
+void csf_normal_apply(const std::vector<la::Matrix>& factors,
+                      const tensor::CsfTree& tree, std::span<const double> v,
+                      std::vector<double>& out) {
+  const std::size_t L = tree.levels();
+  HT_CHECK_MSG(L >= 2 && L <= kCsfMaxOrder && L == factors.size(),
+               "CSF tree does not match the factors");
+  const CsfWalkCtx c = csf_walk_ctx(factors, tree);
+  const la::Matrix& u_root = *c.u[0];
+  const std::size_t r_root = u_root.cols();
+  const std::size_t len = r_root * c.width[0];
+  const bool use_values = v.empty();
+  HT_CHECK_MSG(use_values || v.size() == len, "core vector size mismatch");
+  HT_CHECK_MSG(!use_values || tree.has_values() || tree.num_leaves() == 0,
+               "A^T x needs a tree with values attached");
+
+  // Core layout (mode 0 slowest) <-> tree Kronecker order (root slowest).
+  std::size_t stride[kCsfMaxOrder] = {};
+  for (std::size_t d = 0; d < L; ++d) {
+    std::size_t s = 1;
+    for (std::size_t m = tree.level_modes[d] + 1; m < L; ++m) {
+      s *= factors[m].cols();
+    }
+    stride[d] = s;
+  }
+  const std::vector<std::uint32_t> perm = tree_order_perm(c, 0, len, stride);
+  std::vector<double> core_t;
+  if (!use_values) {
+    core_t.resize(len);
+    for (std::size_t p = 0; p < len; ++p) core_t[p] = v[perm[p]];
+  }
+
+  // Tiles are nnz-balanced runs of level-1 nodes, so their count grows with
+  // nnz even when the root mode has only a few rows: a tile may span several
+  // roots and a root's children may span several tiles, each tile adding its
+  // share of U_root(i,:) (x) partial into its own gradient partial.
+  const nnz_t* ptr1 = tree.ptr[1].data();
+  const nnz_t nroots = tree.num_roots();
+  const nnz_t n1 = nroots == 0 ? 0 : ptr1[nroots];
+  std::vector<nnz_t> tile{0};
+  {
+    nnz_t acc = 0;
+    for (nnz_t k = 0; k < n1; ++k) {
+      nnz_t lo = k, hi = k + 1;  // leaves under level-1 node k
+      for (std::size_t d = 2; d < L; ++d) {
+        lo = tree.ptr[d][lo];
+        hi = tree.ptr[d][hi];
+      }
+      acc += hi - lo;
+      if (acc >= kCsfTileNnz) {
+        tile.push_back(k + 1);
+        acc = 0;
+      }
+    }
+    if (tile.back() != n1) tile.push_back(n1);
+  }
+  const auto ntiles = static_cast<std::ptrdiff_t>(tile.size() - 1);
+  std::vector<double> partials(static_cast<std::size_t>(ntiles) * len, 0.0);
+
+  std::size_t off[kCsfMaxOrder] = {};
+  std::size_t total = 0;
+  for (std::size_t d = 0; d + 1 < L; ++d) {
+    off[d] = total;
+    total += c.width[d];
+  }
+  const index_t* root_idx = tree.idx[0].data();
+#pragma omp parallel for schedule(dynamic, 1)
+  for (std::ptrdiff_t ti = 0; ti < ntiles; ++ti) {
+    KernelScratch& scratch = kernel_scratch();
+    scratch.a.resize(total);
+    scratch.b.resize(total);
+    double* part[kCsfMaxOrder] = {};
+    double* down[kCsfMaxOrder] = {};
+    for (std::size_t d = 0; d + 1 < L; ++d) {
+      part[d] = scratch.a.data() + off[d];
+      down[d] = scratch.b.data() + off[d];
+    }
+    double* grad = partials.data() + static_cast<std::size_t>(ti) * len;
+    const std::size_t w0 = c.width[0];
+    nnz_t k = tile[ti];
+    const nnz_t tile_end = tile[ti + 1];
+    // Last root whose children start at or before k.
+    auto r = static_cast<std::size_t>(
+        std::upper_bound(ptr1, ptr1 + nroots + 1, k) - ptr1 - 1);
+    for (; k < tile_end; ++r) {
+      const nnz_t seg_end = std::min(tile_end, ptr1[r + 1]);
+      const double* urow =
+          u_root.data() + static_cast<std::size_t>(root_idx[r]) * r_root;
+      if (use_values) {
+        csf_walk(c, 0, k, seg_end, part);
+      } else {
+        std::fill(down[0], down[0] + w0, 0.0);
+        for (std::size_t j = 0; j < r_root; ++j) {
+          const double s = urow[j];
+          const double* src = core_t.data() + j * w0;
+          for (std::size_t q = 0; q < w0; ++q) down[0][q] += s * src[q];
+        }
+        csf_normal_walk(c, 0, k, seg_end, down, part);
+      }
+      for (std::size_t j = 0; j < r_root; ++j) {
+        const double s = urow[j];
+        double* dst = grad + j * w0;
+        for (std::size_t q = 0; q < w0; ++q) dst[q] += s * part[0][q];
+      }
+      k = seg_end;
+    }
+  }
+
+  // Tile partials combine in tile order, then scatter back to core layout.
+  out.assign(len, 0.0);
+  [[maybe_unused]] const bool par = len >= 1024;
+#pragma omp parallel for schedule(static) if (par)
+  for (std::size_t p = 0; p < len; ++p) {
+    double s = 0.0;
+    for (std::ptrdiff_t ti = 0; ti < ntiles; ++ti) {
+      s += partials[static_cast<std::size_t>(ti) * len + p];
+    }
+    out[perm[p]] = s;
+  }
+}
+
+namespace {
 
 // ---- ALTO kernel -----------------------------------------------------------
 

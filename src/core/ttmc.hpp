@@ -43,6 +43,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/symbolic.hpp"
@@ -54,6 +55,11 @@
 namespace ht::core {
 
 enum class Schedule { kDynamic, kStatic };
+
+/// Deepest CSF tree the kernels' fixed-size per-level arrays accommodate;
+/// higher orders stay on the general per-nnz TTMc kernel (the selection
+/// logic never offers CSF trees past this depth to the dispatcher).
+inline constexpr std::size_t kCsfMaxOrder = 8;
 
 /// Numeric kernel family. kFiberFactored silently degrades to per-nnz when
 /// the symbolic structure carries no fiber index (orders other than 3/4, or
@@ -158,5 +164,24 @@ void ttmc_mode_subset(const CooTensor& x,
                       const TtmcOptions& options = {},
                       const tensor::CsfTree* csf = nullptr,
                       const tensor::AltoTensor* alto = nullptr);
+
+/// Masked normal-equation product of the completion core refresh
+/// (core/completion.*), fused into one depth-first walk of `tree`. Row t of
+/// A is the Kronecker product of the factor rows at nonzero t's
+/// coordinates, laid out like the flat core (mode 0 slowest), and
+///   v non-empty:  out = A^T (A v)   (the tree may be pattern-only);
+///   v empty:      out = A^T x       (x = the values attached to the tree).
+/// Down the tree the core (permuted once into tree Kronecker order) is
+/// contracted with the root row and then each internal node's factor row,
+/// and every leaf takes a rank-sized dot product for its prediction; up
+/// the tree the leaf weights accumulate as in the kCsf TTMc walk, and each
+/// root adds U_root(i, :) (x) partial into its tile's gradient partial.
+/// Tiles are nnz-balanced runs of level-1 nodes (so their count scales with
+/// nnz even under a root mode of a few rows) with a thread-independent
+/// target, and their partials are summed in tile order, so `out` is bitwise
+/// identical for any thread count. Any root mode and order 2..kCsfMaxOrder.
+void csf_normal_apply(const std::vector<la::Matrix>& factors,
+                      const tensor::CsfTree& tree, std::span<const double> v,
+                      std::vector<double>& out);
 
 }  // namespace ht::core

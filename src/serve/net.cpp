@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstring>
 
@@ -196,8 +197,16 @@ void SocketServer::accept_loop() {
   while (running_.load(std::memory_order_acquire)) {
     const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listen socket closed by shutdown()
+      const int err = errno;
+      // shutdown() closed the listen socket: the only way out.
+      if (!running_.load(std::memory_order_acquire)) break;
+      if (err == EINTR || err == ECONNABORTED) continue;
+      // Out of descriptors or kernel memory (EMFILE, ENFILE, ENOBUFS,
+      // ENOMEM) or any other failure: the pending connection stays queued.
+      // Release what finished connections hold and retry shortly.
+      reap_finished();
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      continue;
     }
     reap_finished();
     std::lock_guard<std::mutex> lock(connections_mutex_);

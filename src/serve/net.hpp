@@ -8,9 +8,12 @@
 // connection reads newline-delimited requests (at most kMaxLineBytes each)
 // and writes one response line per request via a caller-supplied handler.
 // Finished connections are reaped on the next accept, so idle clients never
-// hold up new ones. shutdown() closes the listen socket, unblocks accept()
-// and every live connection's recv(), and joins every worker — call it from
-// a thread other than a handler's (tuckerd defers it to its main thread).
+// hold up new ones. A failed accept() (out of descriptors, say) is retried
+// after a short back-off that also reaps finished connections; the loop
+// ends only on shutdown(). shutdown() closes the listen socket, unblocks
+// accept() and every live connection's recv(), and joins every worker —
+// call it from a thread other than a handler's (tuckerd defers it to its
+// main thread).
 #pragma once
 
 #if defined(__unix__) || defined(__APPLE__)

@@ -278,11 +278,55 @@ TEST(CompletionAcceptanceTest, MaskedTrainingReachesNoiseFloorHooiDoesNot) {
   EXPECT_LE(masked_eval.rmse, 1.15 * planted.noise_sigma)
       << "masked held-out RMSE " << masked_eval.rmse << " vs noise floor "
       << planted.noise_sigma;
+  EXPECT_FALSE(masked.stalled);
   // HOOI fits zeros at the 99% unobserved positions, shrinking every
   // prediction toward 0: its held-out RMSE stays near the signal RMS (~1),
   // an order of magnitude off the floor.
   EXPECT_GT(hooi_eval.rmse, 3.0 * masked_eval.rmse)
       << "unmasked HOOI held-out RMSE " << hooi_eval.rmse;
+}
+
+// 500^3 with 125k entries (~250 observations per row) under the recipe
+// above: the solver sits at the zero model through the annealing window and
+// after it. It must say so instead of reporting convergence.
+TEST(CompletionAcceptanceTest, ZeroModelRunReportsStalled) {
+  const ht::tensor::LowRankTensor planted = ht::tensor::random_low_rank(
+      Shape{500, 500, 500}, 125000, Shape{5, 5, 5}, 0.1, 38);
+  ht::core::SplitOptions sopt;
+  sopt.validation_fraction = 0.1;
+  sopt.test_fraction = 0.1;
+  sopt.seed = 39;
+  const ht::core::TensorSplit split =
+      ht::core::split_tensor(planted.tensor, sopt);
+
+  CompletionOptions opt = basic_options({5, 5, 5}, 22);
+  opt.lambda = 0.01;
+  opt.lambda_anneal_factor = 100.0;
+  opt.lambda_anneal_sweeps = 20;
+  opt.core_cg_iterations = 8;
+  opt.objective_tolerance = 1e-8;
+  opt.early_stopping_patience = 0;
+  CompletionResult r =
+      ht::core::tucker_complete(split.train, &split.validation, opt);
+
+  double mean = 0.0;
+  for (const double v : split.train.values()) mean += v;
+  mean /= static_cast<double>(split.train.nnz());
+  double sse = 0.0;
+  for (const double v : split.train.values()) sse += (v - mean) * (v - mean);
+  const double mean_rmse =
+      std::sqrt(sse / static_cast<double>(split.train.nnz()));
+  EXPECT_GE(r.final_train_rmse(), mean_rmse);
+  EXPECT_TRUE(r.stalled);
+  EXPECT_FALSE(r.converged);
+  // The flag is reporting only: the same sweeps ran as without it (the
+  // objective-tolerance stop still fires once the ridge settles).
+  EXPECT_GT(r.sweeps, opt.lambda_anneal_sweeps);
+  EXPECT_EQ(static_cast<std::size_t>(r.sweeps), r.train_rmse.size());
+  const ht::core::TuckerModel m =
+      ht::core::completion_model(split.train, std::move(r), opt);
+  EXPECT_EQ(m.provenance_value("completion.stalled"), "1");
+  EXPECT_EQ(m.provenance_value("completion.converged"), "0");
 }
 
 TEST(CompletionTest, CompletionModelCarriesProvenance) {
@@ -292,6 +336,7 @@ TEST(CompletionTest, CompletionModelCarriesProvenance) {
   opt.seed = 77;
   CompletionResult r = ht::core::tucker_complete(x, opt);
   const int sweeps = r.sweeps;
+  const bool stalled = r.stalled;
   const ht::core::TuckerModel m =
       ht::core::completion_model(x, std::move(r), opt);
   EXPECT_EQ(m.dims, x.shape());
@@ -300,6 +345,7 @@ TEST(CompletionTest, CompletionModelCarriesProvenance) {
   EXPECT_EQ(m.provenance_value("completion.sweeps"), std::to_string(sweeps));
   EXPECT_FALSE(m.provenance_value("completion.lambda").empty());
   EXPECT_FALSE(m.provenance_value("completion.train_rmse").empty());
+  EXPECT_EQ(m.provenance_value("completion.stalled"), stalled ? "1" : "0");
 }
 
 TEST(CompletionTest, ValidationRejectsBadInput) {

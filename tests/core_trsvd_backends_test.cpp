@@ -136,6 +136,61 @@ TEST(TrsvdFactorDispatch, AllBackendsMatchGramOnCompactProblem) {
   }
 }
 
+TEST(TrsvdFactorDispatch, ReportsKrylovNonConvergence) {
+  // Gaussian 300 x 60: a flat spectrum, so Lanczos needs many steps.
+  ht::Rng rng(6);
+  Matrix y(300, 60);
+  for (auto& a : y.flat()) a = rng.normal();
+  std::vector<index_t> rows(300);
+  for (std::size_t r = 0; r < 300; ++r) rows[r] = static_cast<index_t>(r);
+
+  ht::la::TrsvdOptions capped;
+  capped.tol = 1e-10;
+  capped.max_steps = 6;
+  const auto cut = ht::core::trsvd_factor(y, rows, 300, 4,
+                                          TrsvdMethod::kLanczos, capped);
+  EXPECT_FALSE(cut.converged);
+  EXPECT_EQ(cut.solver_steps, 6u);
+  // Still a usable factor: orthonormal columns.
+  const Matrix gram = ht::la::gemm_tn(cut.factor, cut.factor);
+  for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      EXPECT_NEAR(gram(i, j), i == j ? 1.0 : 0.0, 1e-10);
+    }
+  }
+
+  // Default settings on a decaying spectrum converge.
+  Matrix u(300, 6), v(60, 6);
+  for (auto& a : u.flat()) a = rng.normal();
+  for (auto& a : v.flat()) a = rng.normal();
+  Matrix planted(300, 60);
+  for (std::size_t i = 0; i < 300; ++i) {
+    for (std::size_t j = 0; j < 60; ++j) {
+      double s = 0;
+      for (std::size_t k = 0; k < 6; ++k) {
+        s += u(i, k) * v(j, k) * std::pow(0.5, k);
+      }
+      planted(i, j) = s;
+    }
+  }
+  const auto full =
+      ht::core::trsvd_factor(planted, rows, 300, 4, TrsvdMethod::kLanczos);
+  EXPECT_TRUE(full.converged);
+
+  // HOOI counts the unconverged factor solves.
+  const CooTensor x = planted_tensor({40, 30, 20}, 3000, 3, 7);
+  HooiOptions opt;
+  opt.ranks = {3, 3, 3};
+  opt.max_iterations = 2;
+  opt.fit_tolerance = 0.0;
+  opt.trsvd_method = TrsvdMethod::kLanczos;
+  EXPECT_EQ(ht::core::hooi(x, opt).trsvd_unconverged, 0);
+  opt.trsvd.max_steps = 4;
+  const auto short_steps = ht::core::hooi(x, opt);
+  EXPECT_GT(short_steps.trsvd_unconverged, 0);
+  EXPECT_LE(short_steps.trsvd_unconverged, 2 * 3);
+}
+
 TEST(TrsvdAutoModel, ResolvesAsDocumented) {
   const ht::la::TrsvdOptions loose{.tol = 1e-7};
   const ht::la::TrsvdOptions tight{.tol = 1e-12};

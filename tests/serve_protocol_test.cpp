@@ -24,6 +24,7 @@
 #include "tensor/generators.hpp"
 
 #if HT_HAVE_SOCKETS
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
@@ -315,6 +316,70 @@ TEST(SocketServerTest, ShutdownHangsUpIdleClients) {
   }
   ::close(idle);  // lets a stuck shutdown() finish so the test can end
   stopped.wait();
+}
+
+TEST(SocketServerTest, AcceptSurvivesDescriptorExhaustion) {
+  const std::string path = test_socket_path("emfile");
+  ht::serve::SocketServer server;
+  server.listen_unix(path);
+  server.serve_async(echo_size);
+
+  // Closes the clients and restores the descriptor limit on every exit, so
+  // a failed assertion cannot leave the later tests in this binary with
+  // almost no descriptors.
+  struct LimitGuard {
+    std::vector<int> clients;
+    rlimit saved{};
+    bool lowered = false;
+    bool release() {
+      for (const int fd : clients) ::close(fd);
+      clients.clear();
+      const bool ok = !lowered || ::setrlimit(RLIMIT_NOFILE, &saved) == 0;
+      lowered = false;
+      return ok;
+    }
+    ~LimitGuard() { release(); }
+  } guard;
+
+  // Client sockets are made before the limit drops: connect() needs no new
+  // descriptor, but every accept() on the server side does.
+  constexpr int kClients = 24;
+  for (int i = 0; i < kClients; ++i) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    guard.clients.push_back(fd);
+    timeval tv{};
+    tv.tv_usec = 300000;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  }
+  // At most two free descriptor numbers below the new soft limit.
+  const int lowest_free = ::dup(0);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &guard.saved), 0);
+  rlimit low = guard.saved;
+  low.rlim_cur = static_cast<rlim_t>(lowest_free) + 2;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  guard.lowered = true;
+
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  for (const int fd : guard.clients) {
+    EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof addr),
+              0);
+  }
+  // The last client queues behind accept() failures: no answer.
+  EXPECT_TRUE(send_raw(guard.clients.back(), "PING\n"));
+  EXPECT_EQ(read_line(guard.clients.back()), std::nullopt);
+
+  ASSERT_TRUE(guard.release());
+  const int fd = connect_unix(path, 5.0);
+  ASSERT_TRUE(send_raw(fd, "PING\n"));
+  EXPECT_EQ(read_line(fd), std::optional<std::string>("OK pong"));
+  ::close(fd);
+  server.shutdown();
 }
 
 TEST(SocketServerTest, OverlongLineIsRefusedAndClosed) {
