@@ -75,10 +75,23 @@
 
 namespace {
 
-// Time the mode-`n` TTMc, best of `reps`. Per-mode timing is the unit the
-// kernel heuristic decides on: a tensor's modes can sit in different fiber
-// regimes (the generator's last mode sees singleton fibers), and kAuto
-// picks per mode.
+// Keep every OpenMP thread busy for `seconds` before anything is timed.
+// After a host has idled, each parallel region in the first ~0.5 s stalls
+// ~16 ms on thread wake-up (seen on a 4-vCPU VM after 40 s idle, with
+// OMP_WAIT_POLICY=active too); per-call warm-ups inside that window cannot
+// absorb it, so the small smoke-mode kernels would time the stall.
+void warm_up_threads(double seconds) {
+  const ht::WallTimer t;
+#pragma omp parallel
+  while (t.seconds() < seconds) {
+  }
+}
+
+// Time the mode-`n` TTMc, best of `reps` after one untimed warm-up call
+// (which absorbs first-touch allocation of Y and OpenMP team start-up).
+// Per-mode timing is the unit the kernel heuristic decides on: a tensor's
+// modes can sit in different fiber regimes (the generator's last mode sees
+// singleton fibers), and kAuto picks per mode.
 double time_ttmc_mode(const ht::tensor::CooTensor& x,
                       const std::vector<ht::la::Matrix>& factors,
                       const ht::core::SymbolicTtmc& sym, std::size_t n,
@@ -87,6 +100,7 @@ double time_ttmc_mode(const ht::tensor::CooTensor& x,
                       const ht::tensor::AltoTensor* alto = nullptr) {
   double best = 1e300;
   ht::la::Matrix y;
+  ht::core::ttmc_mode(x, factors, n, sym.modes[n], y, options, csf, alto);
   for (int rep = 0; rep < reps; ++rep) {
     ht::WallTimer t;
     ht::core::ttmc_mode(x, factors, n, sym.modes[n], y, options, csf, alto);
@@ -102,7 +116,7 @@ void fiber_kernel_ablation(bool smoke, htb::JsonReport& report) {
   const tensor::Shape shape = smoke ? tensor::Shape{200, 200, 400}
                                     : tensor::Shape{3000, 3000, 5000};
   const std::vector<tensor::index_t> ranks(3, 10);
-  const int reps = smoke ? 1 : 5;
+  const int reps = smoke ? 3 : 5;
 
   // Mode 0 of the fibered generator sees ~fiber_len-long fibers; the last
   // mode (fibers run along it) sees singletons, where kAuto must fall back.
@@ -985,6 +999,7 @@ int main(int argc, char** argv) {
   using namespace ht;
 
   htb::JsonReport report(htb::json_path_from_args(argc, argv));
+  warm_up_threads(1.0);
   fiber_kernel_ablation(htb::bench_smoke(), report);
   csf_kernel_ablation(htb::bench_smoke(), report);
   alto_kernel_ablation(htb::bench_smoke(), report);

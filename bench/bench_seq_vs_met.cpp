@@ -10,7 +10,6 @@
 
 #include "bench_common.hpp"
 #include "core/hooi.hpp"
-#include "core/met_baseline.hpp"
 
 int main() {
   using namespace ht;

@@ -59,15 +59,12 @@ int main() {
         options.method = config.method;
         options.num_ranks = p;
         options.max_iterations = iters;
+        options.fit_tolerance = 0.0;  // time a fixed number of sweeps
 
         // Offline partitioning (not part of the per-iteration timing).
-        dist::PlanOptions popt;
-        popt.grain = options.grain;
-        popt.method = options.method;
-        popt.num_ranks = p;
-        popt.seed = options.seed;
         WallTimer prep;
-        const auto gplan = dist::build_global_plan(bt.tensor, popt);
+        const auto gplan =
+            dist::build_global_plan(bt.tensor, options.plan_options());
         const auto rplans =
             dist::build_rank_plans(bt.tensor, gplan, ranks, options.seed);
         prep_seconds += prep.seconds();

@@ -42,6 +42,7 @@ int main() {
     options.method = config.method;
     options.num_ranks = p;
     options.max_iterations = 1;  // Table III reports one iteration
+    options.fit_tolerance = 0.0;
     const auto result = dist::dist_hooi(bt.tensor, options);
 
     TextTable table({"mode", "W_TTMc max", "W_TTMc avg", "W_TRSVD max",

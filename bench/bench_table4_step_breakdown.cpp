@@ -59,13 +59,11 @@ int main(int argc, char** argv) {
     options.method = dist::Method::kHypergraph;
     options.num_ranks = p;
     options.max_iterations = iters;
+    options.fit_tolerance = 0.0;  // time a fixed number of sweeps
     options.trsvd_method = trsvd_method;
 
-    dist::PlanOptions popt;
-    popt.grain = options.grain;
-    popt.method = options.method;
-    popt.num_ranks = p;
-    const auto gplan = dist::build_global_plan(bt.tensor, popt);
+    const auto gplan =
+        dist::build_global_plan(bt.tensor, options.plan_options());
     const auto rplans =
         dist::build_rank_plans(bt.tensor, gplan, options.ranks, options.seed);
 

@@ -34,6 +34,7 @@ int main(int argc, char** argv) {
     options.method = method;
     options.num_ranks = num_ranks;
     options.max_iterations = 5;
+    options.fit_tolerance = 0.0;  // the table reports the fit after 5 sweeps
     const dist::DistHooiResult r = dist::dist_hooi(x, options);
 
     double worst_ratio = 0;

@@ -207,9 +207,8 @@ void validate_completion_options(const CooTensor& x,
   }
 }
 
-void masked_update_rows(const CooTensor& x, const ModeSymbolic& sym,
+void masked_update_mode(const CooTensor& x, const ModeSymbolic& sym,
                         std::size_t mode, double lambda,
-                        std::span<const std::size_t> rows,
                         TuckerDecomposition& t) {
   HT_CHECK_MSG(mode < t.order(), "mode out of range");
   const Shape& cs = t.core.shape();
@@ -225,9 +224,9 @@ void masked_update_rows(const CooTensor& x, const ModeSymbolic& sym,
   const std::span<const la::Matrix> factors{t.factors.data(),
                                             t.factors.size()};
 
+  const std::size_t num_rows = sym.num_rows();
 #pragma omp parallel for schedule(dynamic, 8)
-  for (std::size_t k = 0; k < rows.size(); ++k) {
-    const std::size_t r = rows[k];
+  for (std::size_t r = 0; r < num_rows; ++r) {
     RowScratch& ws = row_scratch_tls();
     ws.slice.resize(entity_slice);
     ws.delta.resize(r_n);
@@ -259,14 +258,6 @@ void masked_update_rows(const CooTensor& x, const ModeSymbolic& sym,
     const auto out = target.row(sym.rows[r]);
     for (std::size_t i = 0; i < r_n; ++i) out[i] = ws.rhs[i];
   }
-}
-
-void masked_update_mode(const CooTensor& x, const ModeSymbolic& sym,
-                        std::size_t mode, double lambda,
-                        TuckerDecomposition& t) {
-  std::vector<std::size_t> rows(sym.num_rows());
-  for (std::size_t r = 0; r < rows.size(); ++r) rows[r] = r;
-  masked_update_rows(x, sym, mode, lambda, rows, t);
 }
 
 tensor::CsfTree completion_csf_tree(const CooTensor& x) {

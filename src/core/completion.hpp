@@ -43,11 +43,6 @@
 // sums run over FIXED 8192-nonzero blocks combined in ascending block
 // order — the same arena discipline as la/blas.cpp — so results are
 // bitwise identical across runs, thread counts, and schedules.
-//
-// The row update is exposed stand-alone (masked_update_rows) on a caller-
-// chosen row subset: the delta-ingestion / stochastic-refresh path of
-// ROADMAP item 2 re-solves only the rows a delta touched through the same
-// entry point.
 #pragma once
 
 #include <cstdint>
@@ -150,18 +145,12 @@ CompletionResult tucker_complete(const CooTensor& train,
                                  const CooTensor* validation,
                                  const CompletionOptions& options);
 
-/// One masked row-wise update of mode `mode` restricted to the compacted
-/// row ordinals `rows` (indices into sym.rows / sym.update_list). Solves
-/// each row's ridge normal equations from its observed entries and writes
-/// the solution into t.factors[mode]; all other state is read-only. Rows
-/// are independent — the call is OpenMP-parallel over `rows` and bitwise
-/// deterministic for any thread count.
-void masked_update_rows(const CooTensor& x, const ModeSymbolic& sym,
-                        std::size_t mode, double lambda,
-                        std::span<const std::size_t> rows,
-                        TuckerDecomposition& t);
-
-/// Masked row update over every observed row of `mode`.
+/// One masked row-wise update of mode `mode` over every observed row
+/// (every compacted row ordinal of `sym`). Solves each row's ridge normal
+/// equations from its observed entries and writes the solution into
+/// t.factors[mode]; all other state is read-only. Rows are independent —
+/// the call is OpenMP-parallel over rows and bitwise deterministic for any
+/// thread count.
 void masked_update_mode(const CooTensor& x, const ModeSymbolic& sym,
                         std::size_t mode, double lambda,
                         TuckerDecomposition& t);

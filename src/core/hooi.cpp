@@ -1,10 +1,13 @@
 #include "core/hooi.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "core/hosvd.hpp"
 #include "la/blas.hpp"
 #include "parallel/thread_info.hpp"
+#include "tensor/semi_sparse.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 
@@ -59,14 +62,14 @@ HooiResult hooi(const CooTensor& x, const HooiOptions& options) {
   return result;
 }
 
-HooiResult hooi(const CooTensor& x, const HooiOptions& options,
-                const SymbolicTtmc& symbolic, const DimTreePlan* tree,
-                const tensor::CsfTensor* csf, const tensor::AltoTensor* alto) {
-  validate_hooi_options(x, options);
-  HT_CHECK_MSG(symbolic.modes.size() == x.order(),
-               "symbolic structure does not match tensor");
-  parallel::ThreadScope threads(options.num_threads);
+namespace {
 
+// The ALS sweep loop of paper Algorithm 3, shared by hooi and
+// hooi_met_baseline, which differ only in how they evaluate the TTMc:
+// compute_y(factors, n, y) leaves the compact Y(n) in `y` and returns the
+// global row of each of its rows.
+HooiResult run_sweeps(const CooTensor& x, const HooiOptions& options,
+                      auto&& compute_y) {
   const std::size_t order = x.order();
   HooiResult result;
 
@@ -76,8 +79,6 @@ HooiResult hooi(const CooTensor& x, const HooiOptions& options,
           : randomized_range_factors(x, options.ranks, options.seed);
 
   const double x_norm2 = x.norm2_squared();
-  TtmcScheduler scheduler(x, symbolic, tree, options.ranks,
-                          options.ttmc_options(), csf, alto);
 
   la::Matrix y;  // compact Y(n), reused across modes/iterations
   la::Matrix last_compact_u;
@@ -86,13 +87,12 @@ HooiResult hooi(const CooTensor& x, const HooiOptions& options,
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     for (std::size_t n = 0; n < order; ++n) {
       WallTimer t_ttmc;
-      scheduler.compute(factors, n, y);
+      const std::span<const index_t> rows = compute_y(factors, n, y);
       result.timers.ttmc += t_ttmc.seconds();
 
       WallTimer t_trsvd;
-      FactorTrsvd svd =
-          trsvd_factor(y, symbolic.modes[n].rows, x.dim(n), options.ranks[n],
-                       options.trsvd_method, options.trsvd);
+      FactorTrsvd svd = trsvd_factor(y, rows, x.dim(n), options.ranks[n],
+                                     options.trsvd_method, options.trsvd);
       result.timers.trsvd += t_trsvd.seconds();
       if (!svd.converged) ++result.trsvd_unconverged;
 
@@ -123,6 +123,56 @@ HooiResult hooi(const CooTensor& x, const HooiOptions& options,
 
   result.decomposition.factors = std::move(factors);
   return result;
+}
+
+}  // namespace
+
+HooiResult hooi(const CooTensor& x, const HooiOptions& options,
+                const SymbolicTtmc& symbolic, const DimTreePlan* tree,
+                const tensor::CsfTensor* csf, const tensor::AltoTensor* alto) {
+  validate_hooi_options(x, options);
+  HT_CHECK_MSG(symbolic.modes.size() == x.order(),
+               "symbolic structure does not match tensor");
+  parallel::ThreadScope threads(options.num_threads);
+
+  TtmcScheduler scheduler(x, symbolic, tree, options.ranks,
+                          options.ttmc_options(), csf, alto);
+  return run_sweeps(x, options,
+                    [&](const std::vector<la::Matrix>& factors, std::size_t n,
+                        la::Matrix& y) -> std::span<const index_t> {
+                      scheduler.compute(factors, n, y);
+                      return symbolic.modes[n].rows;
+                    });
+}
+
+HooiResult hooi_met_baseline(const CooTensor& x, const HooiOptions& options) {
+  validate_hooi_options(x, options);
+  parallel::ThreadScope threads(options.num_threads);
+
+  const tensor::SemiSparse lifted = tensor::SemiSparse::lift(x);
+  std::vector<index_t> rows;
+  return run_sweeps(
+      x, options,
+      [&](const std::vector<la::Matrix>& factors, std::size_t n,
+          la::Matrix& y) -> std::span<const index_t> {
+        // Materialized TTM chain over all modes but n, in increasing order —
+        // the dense block dimension ordering then matches ttmc_mode's. Each
+        // ttm_contract builds its merge plan from scratch: MET's cost model,
+        // unlike the dimension-tree scheduler which builds plans once.
+        tensor::SemiSparse z = lifted;
+        for (std::size_t t = 0; t < x.order(); ++t) {
+          if (t == n) continue;
+          z = tensor::ttm_contract(z, t, factors[t]);
+        }
+        // z is now sparse in mode n only, merged and sorted by row index
+        // (the contraction orders groups by the surviving coordinates): its
+        // entries are exactly the compact rows of Y(n).
+        HT_CHECK(z.sparse_modes.size() == 1 && z.sparse_modes[0] == n);
+        rows.assign(z.idx[0].begin(), z.idx[0].end());
+        y.resize(z.entries(), z.block);
+        std::copy(z.values.begin(), z.values.end(), y.data());
+        return rows;
+      });
 }
 
 }  // namespace ht::core

@@ -148,7 +148,8 @@ void ttmc_mode(const CooTensor& x, const std::vector<la::Matrix>& factors,
                const tensor::AltoTensor* alto = nullptr);
 
 /// Single-nonzero contribution: out += value * kron_{t != n} U_t(idx_t, :).
-/// Exposed for tests and the fine-grain distributed path.
+/// No kernel calls it; tests use it as the reference contraction and
+/// bench_micro_kernels times it.
 void accumulate_kron(const CooTensor& x, nnz_t e,
                      const std::vector<la::Matrix>& factors, std::size_t mode,
                      std::span<double> out);

@@ -314,22 +314,14 @@ std::uint64_t DistStats::total_trsvd_rounds() const {
 }
 
 void validate_dist_options(const CooTensor& x, const DistHooiOptions& options) {
-  if (x.nnz() == 0) {
-    throw InvalidArgument("distributed HOOI needs a nonempty tensor");
-  }
-  if (options.ranks.size() != x.order()) {
-    throw InvalidArgument("need one rank per tensor mode");
-  }
-  for (std::size_t n = 0; n < x.order(); ++n) {
-    if (options.ranks[n] < 1 || options.ranks[n] > x.dim(n)) {
-      throw InvalidArgument("rank out of range for mode " + std::to_string(n));
-    }
-  }
-  if (options.max_iterations < 1) {
-    throw InvalidArgument("max_iterations must be >= 1");
-  }
+  core::validate_hooi_options(x, options);
   if (options.num_ranks < 1) {
     throw InvalidArgument("num_ranks must be >= 1");
+  }
+  if (options.init != core::HooiInit::kRandom) {
+    throw InvalidArgument(
+        "the partition plan supplies the initial factor slices; distributed "
+        "HOOI needs init = kRandom");
   }
   if (options.trsvd_method == core::TrsvdMethod::kGram) {
     throw InvalidArgument(
@@ -340,13 +332,7 @@ void validate_dist_options(const CooTensor& x, const DistHooiOptions& options) {
 
 DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options) {
   validate_dist_options(x, options);
-  PlanOptions popt;
-  popt.grain = options.grain;
-  popt.method = options.method;
-  popt.num_ranks = options.num_ranks;
-  popt.seed = options.seed;
-  popt.epsilon = options.epsilon;
-  const GlobalPlan gplan = build_global_plan(x, popt);
+  const GlobalPlan gplan = build_global_plan(x, options.plan_options());
   const std::vector<RankPlan> rplans =
       build_rank_plans(x, gplan, options.ranks, options.seed);
   return dist_hooi(x, options, gplan, rplans);
@@ -429,7 +415,7 @@ DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
   smp::run_spmd(p, [&](smp::Communicator& comm) {
     const int rank = comm.rank();
     const RankPlan& rp = rplans[static_cast<std::size_t>(rank)];
-    parallel::ThreadScope threads(options.threads_per_rank);
+    parallel::ThreadScope threads(options.num_threads);
 
     // Each rank preprocesses its own local tensor: the dimension tree plans
     // the merge structure of local nonzeros only, and the CSF/ALTO kernel
@@ -482,6 +468,7 @@ DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
     std::vector<double> fits;
     int iterations = 0;
     bool converged = false;
+    int trsvd_unconverged = 0;
     double previous_fit = -1.0;
 
     WallTimer loop_timer;
@@ -538,6 +525,8 @@ DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
         }
         const core::FactorTrsvd svd = core::scatter_trsvd_solution(
             global, g.solvable, g.rows, x.dim(n), rank_n);
+        // The solvers run in lockstep, so every rank sees the same flag.
+        if (!svd.converged) ++trsvd_unconverged;
 
         // Refresh the local factor slice (padded like the local tensor).
         la::Matrix local_f(rp.local.dim(n), rank_n);
@@ -602,6 +591,7 @@ DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
       result.fits = std::move(fits);
       result.iterations = iterations;
       result.converged = converged;
+      result.trsvd_unconverged = trsvd_unconverged;
       result.timers = reduced;
       result.seconds_per_iteration =
           iterations > 0 ? max_loop / iterations : 0.0;

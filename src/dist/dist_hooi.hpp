@@ -26,55 +26,33 @@
 #include <vector>
 
 #include "core/hooi.hpp"
-#include "core/tucker.hpp"
 #include "dist/partition_plan.hpp"
-#include "la/lanczos.hpp"
 #include "util/stats.hpp"
 
 namespace ht::dist {
 
-struct DistHooiOptions {
-  /// Decomposition ranks, one per mode (required).
-  std::vector<index_t> ranks;
+/// Distributed HOOI takes core::HooiOptions (ranks, sweeps, fit tolerance,
+/// TTMc and TRSVD controls, seed) and adds only the data distribution.
+/// Inherited fields read as follows here:
+///   num_threads   OpenMP threads inside each simulated rank, modeling the
+///                 paper's hybrid MPI+OpenMP configurations;
+///   ttmc_*        resolved per rank against its local tensor: the coarse
+///                 grain computes its complete owned rows through the
+///                 kernels' subset paths (served straight from the rank's
+///                 partials under the tree strategy), the fine grain the
+///                 local partial rows the fold later combines;
+///   trsvd_method  resolved per mode (kAuto) against the global compact
+///                 problem, since every rank must run the same solver;
+///                 kGram is rejected, as it would assemble Y(n) (the
+///                 paper's case for matrix-free solvers);
+///   init          must be kRandom: the partition plan supplies the
+///                 seed-deterministic initial factor slices;
+///   seed          also seeds the partitioners (plan_options()).
+struct DistHooiOptions : core::HooiOptions {
   Grain grain = Grain::kFine;
   Method method = Method::kHypergraph;
   /// Simulated process count.
   int num_ranks = 1;
-  int max_iterations = 5;  // the paper's benchmark setting
-  /// Stop when the fit improves by less than this between sweeps. The
-  /// distributed default runs all iterations (the paper times fixed sweeps).
-  double fit_tolerance = 0.0;
-  /// OpenMP threads inside each simulated rank (0 = runtime default);
-  /// models the paper's hybrid MPI+OpenMP configurations.
-  int threads_per_rank = 0;
-  std::uint64_t seed = 42;
-  core::Schedule ttmc_schedule = core::Schedule::kDynamic;
-  /// TTMc kernel family for the per-rank local kernels (both grains);
-  /// kAuto applies the fiber-length heuristic to each rank's local tensor.
-  /// kCsf (and kAuto, when the local statistics favor it) builds CSF trees
-  /// over the rank-local tensor: the coarse grain computes its owned rows
-  /// through the CSF subset path, the fine grain its local partial rows.
-  /// kAlto likewise builds a rank-local linearized (ALTO) structure and
-  /// serves both grains through the kAlto kernel's row maps.
-  core::TtmcKernel ttmc_kernel = core::TtmcKernel::kAuto;
-  double ttmc_fiber_threshold = core::TtmcOptions{}.fiber_threshold;
-  /// Per-rank structure-memory budget in bytes for kAuto's CSF-vs-ALTO
-  /// footprint trade (core::TtmcOptions::structure_budget_bytes); 0 = off.
-  double ttmc_structure_budget = 0.0;
-  /// Cross-mode TTMc strategy, resolved per rank against its local tensor.
-  /// Under the coarse grain the owned-row subsets are served straight from
-  /// the rank's partials; under the fine grain the partials hold the
-  /// rank-local partial sums the fold later combines.
-  core::TtmcStrategy ttmc_strategy = core::TtmcStrategy::kAuto;
-  /// TRSVD backend, resolved per mode (kAuto) against the global compact
-  /// problem size. The randomized backend batches the fold/expand exchange
-  /// into one message round per block apply instead of one per Lanczos
-  /// vector.
-  /// kGram is rejected: it would require assembling Y(n) (the paper's
-  /// argument for matrix-free solvers in the fine-grain setting).
-  core::TrsvdMethod trsvd_method = core::TrsvdMethod::kLanczos;
-  /// Inner-solver controls; defaults match core::HooiOptions.
-  la::TrsvdOptions trsvd = {.tol = 1e-7};
   /// Hypergraph partitioner imbalance tolerance (plan construction only).
   double epsilon = 0.10;
   /// Directory for rank-local restart bundles ("" = no checkpointing).
@@ -85,9 +63,8 @@ struct DistHooiOptions {
   /// trajectory continues exactly where the checkpointed run stopped.
   std::string checkpoint_dir;
 
-  [[nodiscard]] core::TtmcOptions ttmc_options() const {
-    return {ttmc_schedule, ttmc_kernel, ttmc_fiber_threshold, ttmc_strategy,
-            ttmc_structure_budget};
+  [[nodiscard]] PlanOptions plan_options() const {
+    return {grain, method, num_ranks, seed, epsilon};
   }
 };
 
@@ -142,26 +119,22 @@ class DistStats {
   std::vector<DistLoad> cells_;
 };
 
-struct DistHooiResult {
-  core::TuckerDecomposition decomposition;
-  /// Fit after each completed sweep (identical on every rank).
-  std::vector<double> fits;
+/// core::HooiResult of the distributed run (fits, counts and the assembled
+/// decomposition agree on every rank); `timers` are the slowest rank's
+/// per-step times (paper Table IV breakdown).
+struct DistHooiResult : core::HooiResult {
   DistStats stats;
   /// TRSVD backend resolved per mode (kAuto applies resolve_trsvd_method to
-  /// the global compact problem; identical on every rank).
+  /// the global compact problem).
   std::vector<core::TrsvdMethod> trsvd_methods;
   /// Paper configuration label, e.g. "fine-hp".
   std::string label;
-  int iterations = 0;
-  bool converged = false;
   /// Wall time of the slowest rank's iteration loop divided by iterations.
   double seconds_per_iteration = 0.0;
-  /// Slowest-rank per-step times (paper Table IV breakdown).
-  core::HooiTimers timers;
 };
 
-/// Run distributed HOOI; partitions the tensor internally with the options'
-/// grain/method/seed.
+/// Run distributed HOOI; partitions the tensor internally with
+/// options.plan_options().
 DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options);
 
 /// Run distributed HOOI over prebuilt plans (the paper partitions offline;

@@ -187,6 +187,7 @@ TEST(DimTreeTtmcTest, DistCoarseFitsMatchDirect) {
   ht::dist::DistHooiOptions base;
   base.ranks = {3, 3, 3};
   base.max_iterations = 2;
+  base.fit_tolerance = 0.0;
   base.num_ranks = 4;
   base.grain = ht::dist::Grain::kCoarse;  // exercises subset serving
 
@@ -208,6 +209,7 @@ TEST(DimTreeTtmcTest, DistFineFitsMatchDirect) {
   ht::dist::DistHooiOptions base;
   base.ranks = {3, 3, 3};
   base.max_iterations = 2;
+  base.fit_tolerance = 0.0;
   base.num_ranks = 4;
   base.grain = ht::dist::Grain::kFine;
 

@@ -6,7 +6,6 @@
 
 #include "core/hooi.hpp"
 #include "core/hosvd.hpp"
-#include "core/met_baseline.hpp"
 #include "core/trsvd.hpp"
 #include "la/blas.hpp"
 #include "tensor/dense_tensor.hpp"

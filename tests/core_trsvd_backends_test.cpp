@@ -13,6 +13,7 @@
 #include "core/symbolic.hpp"
 #include "core/trsvd.hpp"
 #include "core/ttmc.hpp"
+#include "dist/dist_hooi.hpp"
 #include "la/blas.hpp"
 #include "tensor/generators.hpp"
 #include "util/random.hpp"
@@ -177,18 +178,30 @@ TEST(TrsvdFactorDispatch, ReportsKrylovNonConvergence) {
       ht::core::trsvd_factor(planted, rows, 300, 4, TrsvdMethod::kLanczos);
   EXPECT_TRUE(full.converged);
 
-  // HOOI counts the unconverged factor solves.
+  // Every HOOI driver counts the unconverged factor solves: hooi, the MET
+  // baseline, and dist_hooi at one and at three ranks.
   const CooTensor x = planted_tensor({40, 30, 20}, 3000, 3, 7);
-  HooiOptions opt;
+  ht::dist::DistHooiOptions opt;
   opt.ranks = {3, 3, 3};
   opt.max_iterations = 2;
   opt.fit_tolerance = 0.0;
   opt.trsvd_method = TrsvdMethod::kLanczos;
-  EXPECT_EQ(ht::core::hooi(x, opt).trsvd_unconverged, 0);
+  const auto unconverged = [&x](ht::dist::DistHooiOptions o) {
+    std::vector<int> counts = {
+        ht::core::hooi(x, o).trsvd_unconverged,
+        ht::core::hooi_met_baseline(x, o).trsvd_unconverged};
+    for (const int p : {1, 3}) {
+      o.num_ranks = p;
+      counts.push_back(ht::dist::dist_hooi(x, o).trsvd_unconverged);
+    }
+    return counts;
+  };
+  for (const int count : unconverged(opt)) EXPECT_EQ(count, 0);
   opt.trsvd.max_steps = 4;
-  const auto short_steps = ht::core::hooi(x, opt);
-  EXPECT_GT(short_steps.trsvd_unconverged, 0);
-  EXPECT_LE(short_steps.trsvd_unconverged, 2 * 3);
+  for (const int count : unconverged(opt)) {
+    EXPECT_GT(count, 0);
+    EXPECT_LE(count, 2 * 3);
+  }
 }
 
 TEST(TrsvdAutoModel, ResolvesAsDocumented) {

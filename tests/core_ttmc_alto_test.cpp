@@ -302,6 +302,7 @@ TEST(AltoTtmcTest, DistHooiMatchesUnderAltoKernelBothGrains) {
     ht::dist::DistHooiOptions base;
     base.ranks = {3, 3, 3};
     base.max_iterations = 2;
+    base.fit_tolerance = 0.0;
     base.num_ranks = 4;
     base.grain = grain;  // coarse exercises the ALTO subset path
 

@@ -263,6 +263,7 @@ TEST(FiberTtmcTest, DistHooiMatchesUnderBothKernels) {
   ht::dist::DistHooiOptions base;
   base.ranks = {3, 3, 3};
   base.max_iterations = 2;
+  base.fit_tolerance = 0.0;
   base.num_ranks = 4;
   base.grain = ht::dist::Grain::kCoarse;  // exercises ttmc_mode_subset
 

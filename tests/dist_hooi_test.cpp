@@ -12,7 +12,6 @@
 
 namespace {
 
-using ht::core::HooiOptions;
 using ht::core::HooiResult;
 using ht::dist::DistHooiOptions;
 using ht::dist::DistHooiResult;
@@ -30,17 +29,8 @@ CooTensor test_tensor(std::uint64_t seed = 3) {
   return x;
 }
 
-// Shared-memory reference with the same seed/init as the distributed run.
-HooiResult reference_hooi(const CooTensor& x, const std::vector<index_t>& r,
-                          int iters, std::uint64_t seed) {
-  HooiOptions opt;
-  opt.ranks = r;
-  opt.max_iterations = iters;
-  opt.fit_tolerance = 0.0;  // run all iterations, like the dist default
-  opt.seed = seed;
-  return ht::core::hooi(x, opt);
-}
-
+// One options object drives both solvers: core::hooi reads its HooiOptions
+// base, dist_hooi the whole of it. Every sweep runs (fit_tolerance = 0).
 DistHooiOptions dist_options(std::vector<index_t> r, Grain g, Method m, int p,
                              int iters, std::uint64_t seed) {
   DistHooiOptions opt;
@@ -49,16 +39,17 @@ DistHooiOptions dist_options(std::vector<index_t> r, Grain g, Method m, int p,
   opt.method = m;
   opt.num_ranks = p;
   opt.max_iterations = iters;
+  opt.fit_tolerance = 0.0;
   opt.seed = seed;
   return opt;
 }
 
 TEST(DistHooiTest, SingleRankMatchesSharedMemoryExactly) {
   const CooTensor x = test_tensor();
-  const std::vector<index_t> r = {4, 4, 4};
-  const HooiResult shared = reference_hooi(x, r, 3, 42);
-  const DistHooiResult dist = ht::dist::dist_hooi(
-      x, dist_options(r, Grain::kFine, Method::kRandom, 1, 3, 42));
+  const auto opt =
+      dist_options({4, 4, 4}, Grain::kFine, Method::kRandom, 1, 3, 42);
+  const HooiResult shared = ht::core::hooi(x, opt);
+  const DistHooiResult dist = ht::dist::dist_hooi(x, opt);
   ASSERT_EQ(dist.fits.size(), shared.fits.size());
   for (std::size_t i = 0; i < dist.fits.size(); ++i) {
     EXPECT_NEAR(dist.fits[i], shared.fits[i], 1e-12) << "iteration " << i;
@@ -76,10 +67,9 @@ class DistVsShared : public ::testing::TestWithParam<DistCase> {};
 TEST_P(DistVsShared, FitsMatchSharedMemory) {
   const auto [grain, method, p] = GetParam();
   const CooTensor x = test_tensor();
-  const std::vector<index_t> r = {4, 4, 4};
-  const HooiResult shared = reference_hooi(x, r, 3, 42);
-  const DistHooiResult dist =
-      ht::dist::dist_hooi(x, dist_options(r, grain, method, p, 3, 42));
+  const auto opt = dist_options({4, 4, 4}, grain, method, p, 3, 42);
+  const HooiResult shared = ht::core::hooi(x, opt);
+  const DistHooiResult dist = ht::dist::dist_hooi(x, opt);
   ASSERT_EQ(dist.fits.size(), shared.fits.size());
   for (std::size_t i = 0; i < dist.fits.size(); ++i) {
     EXPECT_NEAR(dist.fits[i], shared.fits[i], 1e-6)
@@ -103,12 +93,14 @@ TEST(DistHooiTest, FourModeTensorAllConfigs) {
   CooTensor x = ht::tensor::random_zipf(Shape{18, 22, 26, 14}, 800,
                                         {0.4, 0.7, 0.9, 0.3}, 5);
   ht::tensor::plant_low_rank_values(x, 3, 0.1, 6);
-  const std::vector<index_t> r = {3, 3, 3, 3};
-  const HooiResult shared = reference_hooi(x, r, 2, 11);
+  auto opt =
+      dist_options({3, 3, 3, 3}, Grain::kFine, Method::kHypergraph, 3, 2, 11);
+  const HooiResult shared = ht::core::hooi(x, opt);
   for (const auto grain : {Grain::kFine, Grain::kCoarse}) {
     for (const auto method : {Method::kHypergraph, Method::kRandom}) {
-      const DistHooiResult dist =
-          ht::dist::dist_hooi(x, dist_options(r, grain, method, 3, 2, 11));
+      opt.grain = grain;
+      opt.method = method;
+      const DistHooiResult dist = ht::dist::dist_hooi(x, opt);
       ASSERT_EQ(dist.fits.size(), shared.fits.size());
       EXPECT_NEAR(dist.fits.back(), shared.fits.back(), 1e-6)
           << ht::dist::config_label(grain, method);
@@ -211,10 +203,10 @@ TEST(DistHooiTest, DeterministicAcrossRuns) {
 TEST(DistHooiTest, MoreRanksThanUsefulStillCorrect) {
   // 12 ranks on a small tensor: some ranks may be nearly empty.
   CooTensor x = ht::tensor::random_uniform(Shape{20, 18, 16}, 300, 15);
-  const std::vector<index_t> r = {3, 3, 3};
-  const HooiResult shared = reference_hooi(x, r, 2, 21);
-  const DistHooiResult dist = ht::dist::dist_hooi(
-      x, dist_options(r, Grain::kFine, Method::kRandom, 12, 2, 21));
+  const auto opt =
+      dist_options({3, 3, 3}, Grain::kFine, Method::kRandom, 12, 2, 21);
+  const HooiResult shared = ht::core::hooi(x, opt);
+  const DistHooiResult dist = ht::dist::dist_hooi(x, opt);
   EXPECT_NEAR(dist.fits.back(), shared.fits.back(), 1e-6);
 }
 
@@ -228,17 +220,21 @@ TEST(DistHooiTest, InvalidOptionsThrow) {
   EXPECT_THROW(ht::dist::dist_hooi(x, opt3), ht::Error);  // no iterations
 }
 
+TEST(DistHooiTest, NonRandomInitIsRejected) {
+  // The partition plan supplies the initial factor slices, so an init that
+  // core::hooi would honor cannot be silently dropped here.
+  const CooTensor x = test_tensor();
+  auto opt = dist_options({4, 4, 4}, Grain::kFine, Method::kRandom, 2, 1, 42);
+  opt.init = ht::core::HooiInit::kRandomizedRange;
+  EXPECT_THROW(ht::dist::dist_hooi(x, opt), ht::InvalidArgument);
+}
+
 TEST(DistHooiTest, PrebuiltPlansCanBeReused) {
   const CooTensor x = test_tensor();
   const std::vector<index_t> r = {4, 4, 4};
   const auto opt =
       dist_options(r, Grain::kCoarse, Method::kHypergraph, 3, 2, 42);
-  ht::dist::PlanOptions popt;
-  popt.grain = opt.grain;
-  popt.method = opt.method;
-  popt.num_ranks = opt.num_ranks;
-  popt.seed = opt.seed;
-  const auto gplan = ht::dist::build_global_plan(x, popt);
+  const auto gplan = ht::dist::build_global_plan(x, opt.plan_options());
   const auto rplans = ht::dist::build_rank_plans(x, gplan, r, opt.seed);
   const DistHooiResult a = ht::dist::dist_hooi(x, opt, gplan, rplans);
   const DistHooiResult b = ht::dist::dist_hooi(x, opt, gplan, rplans);
@@ -256,13 +252,9 @@ TEST(DistTrsvdBackends, MatchSharedMemoryAcrossGrains) {
   const std::vector<index_t> r = {4, 4, 4};
   for (const auto method : {ht::core::TrsvdMethod::kRandomized,
                             ht::core::TrsvdMethod::kAuto}) {
-    HooiOptions sopt;
-    sopt.ranks = r;
-    sopt.max_iterations = 3;
-    sopt.fit_tolerance = 0.0;
-    sopt.seed = 42;
-    sopt.trsvd_method = method;
-    const HooiResult shared = ht::core::hooi(x, sopt);
+    auto opt = dist_options(r, Grain::kFine, Method::kHypergraph, 4, 3, 42);
+    opt.trsvd_method = method;
+    const HooiResult shared = ht::core::hooi(x, opt);
     // Krylov backends iterate each subspace to tolerance, so distributed
     // reduction-order noise washes out (1e-6). The randomized sketch's
     // Rayleigh–Ritz rotation is sensitive to last-bit Gram differences on
@@ -271,10 +263,8 @@ TEST(DistTrsvdBackends, MatchSharedMemoryAcrossGrains) {
     const double tol =
         method == ht::core::TrsvdMethod::kRandomized ? 5e-4 : 1e-6;
     for (const auto grain : {Grain::kFine, Grain::kCoarse}) {
-      DistHooiOptions dopt =
-          dist_options(r, grain, Method::kHypergraph, 4, 3, 42);
-      dopt.trsvd_method = method;
-      const DistHooiResult dist = ht::dist::dist_hooi(x, dopt);
+      opt.grain = grain;
+      const DistHooiResult dist = ht::dist::dist_hooi(x, opt);
       ASSERT_EQ(dist.fits.size(), shared.fits.size());
       for (std::size_t i = 0; i < dist.fits.size(); ++i) {
         EXPECT_NEAR(dist.fits[i], shared.fits[i], tol)
@@ -293,17 +283,10 @@ TEST(DistTrsvdBackends, SingleRankBitMatchesSharedMemory) {
   const std::vector<index_t> r = {4, 4, 4};
   for (const auto method : {ht::core::TrsvdMethod::kLanczos,
                             ht::core::TrsvdMethod::kRandomized}) {
-    HooiOptions sopt;
-    sopt.ranks = r;
-    sopt.max_iterations = 3;
-    sopt.fit_tolerance = 0.0;
-    sopt.seed = 42;
-    sopt.trsvd_method = method;
-    const HooiResult shared = ht::core::hooi(x, sopt);
-    DistHooiOptions dopt =
-        dist_options(r, Grain::kFine, Method::kRandom, 1, 3, 42);
-    dopt.trsvd_method = method;
-    const DistHooiResult dist = ht::dist::dist_hooi(x, dopt);
+    auto opt = dist_options(r, Grain::kFine, Method::kRandom, 1, 3, 42);
+    opt.trsvd_method = method;
+    const HooiResult shared = ht::core::hooi(x, opt);
+    const DistHooiResult dist = ht::dist::dist_hooi(x, opt);
     ASSERT_EQ(dist.fits.size(), shared.fits.size());
     for (std::size_t i = 0; i < dist.fits.size(); ++i) {
       EXPECT_NEAR(dist.fits[i], shared.fits[i], 1e-12)
@@ -440,9 +423,9 @@ TEST(DistHooiTest, HybridThreadsPerRankAgrees) {
   const CooTensor x = test_tensor();
   const std::vector<index_t> r = {4, 4, 4};
   auto opt1 = dist_options(r, Grain::kFine, Method::kRandom, 2, 2, 42);
-  opt1.threads_per_rank = 1;
+  opt1.num_threads = 1;
   auto opt2 = dist_options(r, Grain::kFine, Method::kRandom, 2, 2, 42);
-  opt2.threads_per_rank = 4;
+  opt2.num_threads = 4;
   const DistHooiResult a = ht::dist::dist_hooi(x, opt1);
   const DistHooiResult b = ht::dist::dist_hooi(x, opt2);
   for (std::size_t i = 0; i < a.fits.size(); ++i) {

@@ -79,6 +79,7 @@ TEST(IntegrationTest, DistributedUnderNetworkModelMatchesFreeNetwork) {
   options.method = Method::kHypergraph;
   options.num_ranks = 4;
   options.max_iterations = 2;
+  options.fit_tolerance = 0.0;
 
   const auto free_net = ht::dist::dist_hooi(x, options);
 
@@ -107,6 +108,7 @@ TEST(IntegrationTest, PresetTensorsHaveCommunityLocality) {
   options.ranks = spec.ranks;
   options.num_ranks = 4;
   options.max_iterations = 1;
+  options.fit_tolerance = 0.0;
   options.grain = Grain::kFine;
 
   options.method = Method::kHypergraph;
@@ -133,21 +135,17 @@ TEST(IntegrationTest, SharedAndDistributedAgreeOnPresetTensor) {
   auto spec = ht::tensor::paper_preset("nell", 0.05);
   const CooTensor x = ht::tensor::generate_preset(spec, 7);
 
-  HooiOptions shared_opt;
-  shared_opt.ranks = spec.ranks;
-  shared_opt.max_iterations = 2;
-  shared_opt.fit_tolerance = 0.0;
-  shared_opt.seed = 99;
-  const auto shared = ht::core::hooi(x, shared_opt);
-
-  DistHooiOptions dist_opt;
-  dist_opt.ranks = spec.ranks;
-  dist_opt.grain = Grain::kCoarse;
-  dist_opt.method = Method::kBlock;
-  dist_opt.num_ranks = 5;
-  dist_opt.max_iterations = 2;
-  dist_opt.seed = 99;
-  const auto dist = ht::dist::dist_hooi(x, dist_opt);
+  // One options object for both drivers; core::hooi reads its base.
+  DistHooiOptions options;
+  options.ranks = spec.ranks;
+  options.grain = Grain::kCoarse;
+  options.method = Method::kBlock;
+  options.num_ranks = 5;
+  options.max_iterations = 2;
+  options.fit_tolerance = 0.0;
+  options.seed = 99;
+  const auto shared = ht::core::hooi(x, options);
+  const auto dist = ht::dist::dist_hooi(x, options);
 
   ASSERT_EQ(dist.fits.size(), shared.fits.size());
   EXPECT_NEAR(dist.fits.back(), shared.fits.back(), 1e-6);
